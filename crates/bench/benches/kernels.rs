@@ -1,75 +1,22 @@
-//! Criterion micro-benches on the computational kernels, including the
-//! linear-backend ablation called out in DESIGN.md §5.
+//! Criterion micro-benches on the computational kernels.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use aqua_hydraulics::{
-    solve_snapshot, ExtendedPeriodSim, LeakEvent, LinearBackend, Scenario, SolverOptions,
-};
+use aqua_hydraulics::{solve_snapshot, ExtendedPeriodSim, LeakEvent, Scenario, SolverOptions};
 use aqua_ml::{Matrix, ModelKind};
-use aqua_net::synth::{self, GridNetworkBuilder};
+use aqua_net::synth;
 
 fn hydraulic_solve(c: &mut Criterion) {
     let mut group = c.benchmark_group("hydraulic_snapshot");
+    let opts = SolverOptions::default();
     for (name, net) in [
         ("epa_net", synth::epa_net()),
         ("wssc_subnet", synth::wssc_subnet()),
     ] {
-        for backend in [LinearBackend::Dense, LinearBackend::SparseCg] {
-            let opts = SolverOptions {
-                backend,
-                ..Default::default()
-            };
-            group.bench_with_input(
-                BenchmarkId::new(name, format!("{backend:?}")),
-                &net,
-                |b, net| {
-                    b.iter(|| {
-                        solve_snapshot(black_box(net), &Scenario::default(), 0, &opts).unwrap()
-                    })
-                },
-            );
-        }
-    }
-    group.finish();
-}
-
-fn backend_crossover(c: &mut Criterion) {
-    // The dense-vs-sparse crossover by junction count.
-    let mut group = c.benchmark_group("backend_crossover");
-    group.sample_size(20);
-    for side in [6usize, 12, 20, 28] {
-        let grid = GridNetworkBuilder::new("cross")
-            .columns(side)
-            .rows(side)
-            .loop_edges(side)
-            .build();
-        let mut net = grid.network;
-        let head = net
-            .nodes()
-            .iter()
-            .map(|n| n.elevation)
-            .fold(f64::NEG_INFINITY, f64::max)
-            + 60.0;
-        let r = net.add_reservoir("SRC", head, (-500.0, 0.0)).unwrap();
-        net.add_pipe("MAIN", r, grid.junctions[0], 300.0, 0.6, 130.0)
-            .unwrap();
-        for backend in [LinearBackend::Dense, LinearBackend::SparseCg] {
-            let opts = SolverOptions {
-                backend,
-                ..Default::default()
-            };
-            group.bench_with_input(
-                BenchmarkId::new(format!("{backend:?}"), side * side),
-                &net,
-                |b, net| {
-                    b.iter(|| {
-                        solve_snapshot(black_box(net), &Scenario::default(), 0, &opts).unwrap()
-                    })
-                },
-            );
-        }
+        group.bench_function(name, |b| {
+            b.iter(|| solve_snapshot(black_box(&net), &Scenario::default(), 0, &opts).unwrap())
+        });
     }
     group.finish();
 }
@@ -155,7 +102,6 @@ fn flood_step(c: &mut Criterion) {
 criterion_group!(
     benches,
     hydraulic_solve,
-    backend_crossover,
     eps_day,
     classifier_fit,
     flood_step

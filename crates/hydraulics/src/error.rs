@@ -19,7 +19,8 @@ pub enum HydraulicError {
         /// Dense index of one offending junction.
         node_index: usize,
     },
-    /// The inner linear solve failed (non-SPD matrix or CG breakdown).
+    /// The inner linear solve failed: a non-positive pivot in the Cholesky
+    /// factorization (the normal matrix is not positive definite).
     LinearSolveFailed {
         /// Human-readable detail.
         detail: &'static str,

@@ -2,7 +2,9 @@
 //!
 //! Both models express headloss as `h(q) = sign(q) · (r·|q|ⁿ + m·|q|²)`
 //! with a friction term and a minor-loss term; the GGA needs `h(q)` and its
-//! derivative `h'(q)`.
+//! derivative `h'(q)`. Hazen–Williams coefficients depend only on the pipe,
+//! so the solver workspace computes them once per network; Darcy–Weisbach's
+//! `r` depends on the flow and is recomputed every iteration.
 
 use aqua_net::Pipe;
 
@@ -23,7 +25,7 @@ pub enum HeadlossModel {
 }
 
 /// Headloss coefficients of one pipe at the current flow estimate.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct PipeCoeffs {
     /// Friction resistance `r` in `h = r·|q|ⁿ`.
     pub r: f64,
@@ -41,14 +43,8 @@ impl HeadlossModel {
     /// flow estimate `q` (Darcy–Weisbach's friction factor is Reynolds-
     /// dependent).
     pub fn pipe_coeffs(self, pipe: &Pipe, q: f64) -> PipeCoeffs {
-        let m = minor_loss_coeff(pipe.minor_loss, pipe.diameter);
         match self {
-            HeadlossModel::HazenWilliams => {
-                // SI form: h = 10.667 · C^-1.852 · d^-4.871 · L · q^1.852.
-                let r =
-                    10.667 * pipe.roughness.powf(-1.852) * pipe.diameter.powf(-4.871) * pipe.length;
-                PipeCoeffs { r, n: 1.852, m }
-            }
+            HeadlossModel::HazenWilliams => PipeCoeffs::hazen_williams(pipe),
             HeadlossModel::DarcyWeisbach => {
                 let d = pipe.diameter;
                 let area = std::f64::consts::PI * d * d / 4.0;
@@ -67,6 +63,7 @@ impl HeadlossModel {
                     0.25 / (log_term * log_term)
                 };
                 let r = f * pipe.length / (d * 2.0 * GRAVITY * area * area);
+                let m = minor_loss_coeff(pipe.minor_loss, pipe.diameter);
                 PipeCoeffs { r, n: 2.0, m }
             }
         }
@@ -83,16 +80,24 @@ pub fn minor_loss_coeff(k: f64, d: f64) -> f64 {
 }
 
 impl PipeCoeffs {
-    /// Headloss at flow `q` (signed).
-    pub fn headloss(&self, q: f64) -> f64 {
-        let aq = q.abs();
-        q.signum() * (self.r * aq.powf(self.n) + self.m * aq * aq)
+    /// Hazen–Williams coefficients of `pipe`; they do not depend on flow.
+    pub fn hazen_williams(pipe: &Pipe) -> PipeCoeffs {
+        // SI form: h = 10.667 · C^-1.852 · d^-4.871 · L · q^1.852.
+        let r = 10.667 * pipe.roughness.powf(-1.852) * pipe.diameter.powf(-4.871) * pipe.length;
+        let m = minor_loss_coeff(pipe.minor_loss, pipe.diameter);
+        PipeCoeffs { r, n: 1.852, m }
     }
 
-    /// Derivative `dh/dq` at flow `q` (always ≥ 0).
-    pub fn gradient(&self, q: f64) -> f64 {
+    /// Headloss at flow `q` (signed) and its derivative `dh/dq` (always
+    /// ≥ 0), sharing one `powf`.
+    pub fn headloss_and_gradient(&self, q: f64) -> (f64, f64) {
         let aq = q.abs();
-        self.n * self.r * aq.powf(self.n - 1.0) + 2.0 * self.m * aq
+        let friction = self.r * aq.powf(self.n - 1.0);
+        let minor = self.m * aq;
+        (
+            q.signum() * (friction + minor) * aq,
+            self.n * friction + 2.0 * minor,
+        )
     }
 }
 
@@ -110,20 +115,28 @@ mod tests {
         }
     }
 
+    fn headloss(c: &PipeCoeffs, q: f64) -> f64 {
+        c.headloss_and_gradient(q).0
+    }
+
+    fn gradient(c: &PipeCoeffs, q: f64) -> f64 {
+        c.headloss_and_gradient(q).1
+    }
+
     #[test]
     fn hazen_williams_matches_hand_calculation() {
         // h = 10.667 * 130^-1.852 * 0.3^-4.871 * 1000 * 0.1^1.852
         let c = HeadlossModel::HazenWilliams.pipe_coeffs(&pipe(), 0.1);
         let expected =
             10.667 * 130.0f64.powf(-1.852) * 0.3f64.powf(-4.871) * 1000.0 * 0.1f64.powf(1.852);
-        assert!((c.headloss(0.1) - expected).abs() < 1e-9);
+        assert!((headloss(&c, 0.1) - expected).abs() < 1e-9);
     }
 
     #[test]
     fn headloss_is_odd_in_flow() {
         for model in [HeadlossModel::HazenWilliams, HeadlossModel::DarcyWeisbach] {
             let c = model.pipe_coeffs(&pipe(), 0.05);
-            assert!((c.headloss(0.05) + c.headloss(-0.05)).abs() < 1e-12);
+            assert!((headloss(&c, 0.05) + headloss(&c, -0.05)).abs() < 1e-12);
         }
     }
 
@@ -134,7 +147,7 @@ mod tests {
             for i in 1..10 {
                 let q = i as f64 * 0.02;
                 let c = model.pipe_coeffs(&pipe(), q);
-                let h = c.headloss(q);
+                let h = headloss(&c, q);
                 assert!(h > prev, "{model:?} q={q}");
                 prev = h;
             }
@@ -146,9 +159,9 @@ mod tests {
         let c = HeadlossModel::HazenWilliams.pipe_coeffs(&pipe(), 0.08);
         let q = 0.08;
         let eps = 1e-7;
-        let fd = (c.headloss(q + eps) - c.headloss(q - eps)) / (2.0 * eps);
-        assert!((c.gradient(q) - fd).abs() / fd < 1e-5);
-        assert!(c.gradient(q) > 0.0);
+        let fd = (headloss(&c, q + eps) - headloss(&c, q - eps)) / (2.0 * eps);
+        assert!((gradient(&c, q) - fd).abs() / fd < 1e-5);
+        assert!(gradient(&c, q) > 0.0);
     }
 
     #[test]
@@ -156,12 +169,8 @@ mod tests {
         // The two formulas should agree within a factor of ~2 for a typical
         // distribution pipe at a typical velocity.
         let q = 0.05; // ~0.7 m/s in a 300 mm pipe
-        let hw = HeadlossModel::HazenWilliams
-            .pipe_coeffs(&pipe(), q)
-            .headloss(q);
-        let dw = HeadlossModel::DarcyWeisbach
-            .pipe_coeffs(&pipe(), q)
-            .headloss(q);
+        let hw = headloss(&HeadlossModel::HazenWilliams.pipe_coeffs(&pipe(), q), q);
+        let dw = headloss(&HeadlossModel::DarcyWeisbach.pipe_coeffs(&pipe(), q), q);
         assert!(dw > hw * 0.4 && dw < hw * 2.5, "hw={hw} dw={dw}");
     }
 
@@ -172,9 +181,9 @@ mod tests {
         let with = HeadlossModel::HazenWilliams.pipe_coeffs(&p, 0.1);
         p.minor_loss = 0.0;
         let without = HeadlossModel::HazenWilliams.pipe_coeffs(&p, 0.1);
-        assert!(with.headloss(0.1) > without.headloss(0.1));
+        assert!(headloss(&with, 0.1) > headloss(&without, 0.1));
         let manual = minor_loss_coeff(5.0, 0.3) * 0.01;
-        assert!((with.headloss(0.1) - without.headloss(0.1) - manual).abs() < 1e-12);
+        assert!((headloss(&with, 0.1) - headloss(&without, 0.1) - manual).abs() < 1e-12);
     }
 
     #[test]

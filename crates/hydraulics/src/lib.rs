@@ -13,8 +13,10 @@
 //! * **Extended-period simulation** with tank level integration and
 //!   pattern-driven demands ([`ExtendedPeriodSim`]), whose hydraulic time
 //!   step doubles as the IoT sampling interval (15 minutes in the paper).
-//! * Two interchangeable linear-solver backends (dense Cholesky and sparse
-//!   conjugate gradient) for the ablation called out in DESIGN.md.
+//! * One exact linear solver, as in EPANET: the GGA's normal matrix is
+//!   ordered by minimum degree and its Cholesky pattern laid out once per
+//!   network ([`SolverWorkspace`]); each Newton step then refactors it
+//!   numerically and runs two triangular solves ([`linalg`]).
 //!
 //! # Example
 //!
@@ -56,9 +58,7 @@ pub use recovery::{
 };
 pub use scenario::{LeakEvent, Scenario};
 pub use snapshot::Snapshot;
-pub use solver::{
-    solve_snapshot, solve_snapshot_traced, solve_snapshot_with, LinearBackend, SolverOptions,
-};
+pub use solver::{solve_snapshot, solve_snapshot_traced, solve_snapshot_with, SolverOptions};
 pub use workspace::{SolverWorkspace, WarmStart};
 
 /// Gravitational acceleration, m/s².

@@ -1,17 +1,21 @@
-//! Linear algebra kernels for the GGA inner solve.
+//! Linear algebra for the GGA inner solve.
 //!
 //! The GGA normal matrix is symmetric positive definite (an M-matrix built
-//! from link conductances plus emitter derivatives), so two classic solvers
-//! apply:
+//! from link conductances plus emitter derivatives) with one row per
+//! junction and one off-diagonal pair per junction–junction link. Like
+//! EPANET, the solver orders it once per network by minimum degree and
+//! solves every Newton step with a sparse LLᵀ factorization:
 //!
-//! * [`DenseSpd`] — dense Cholesky factorization, `O(n³)`, unbeatable for
-//!   small junction counts;
-//! * [`SparseSym`] + [`conjugate_gradient`] — compressed-sparse-row storage
-//!   with a Jacobi-preconditioned conjugate gradient, `O(nnz)` per
-//!   iteration, the right choice for larger networks.
-//!
-//! Both are exercised against each other in tests and benchmarked in the
-//! backend ablation (DESIGN.md §5).
+//! * [`SparseSym`] — the matrix in compressed-sparse-row form; its pattern
+//!   is built once per network and its values are rewritten in place each
+//!   iteration;
+//! * [`SparseCholesky`] — the ordering, L's elimination pattern and the
+//!   CSR→L scatter map, analyzed once per pattern; then per iteration a
+//!   numeric refactorization and two triangular solves;
+//! * [`DenseSpd`] — a dense Cholesky, kept as the reference oracle the
+//!   sparse factor is tested against.
+
+use std::collections::BTreeSet;
 
 /// A dense symmetric positive definite matrix with a Cholesky solver.
 #[derive(Debug, Clone)]
@@ -30,11 +34,6 @@ impl DenseSpd {
         }
     }
 
-    /// Matrix dimension.
-    pub fn dim(&self) -> usize {
-        self.n
-    }
-
     /// Adds `value` to entry `(i, j)` and, if `i != j`, to `(j, i)`.
     pub fn add_sym(&mut self, i: usize, j: usize, value: f64) {
         self.a[i * self.n + j] += value;
@@ -48,28 +47,13 @@ impl DenseSpd {
         self.a[i * self.n + j]
     }
 
-    /// Zeros every entry, keeping the allocation (workspace reuse).
-    pub fn reset(&mut self) {
-        self.a.fill(0.0);
-    }
-
     /// Solves `A x = b` by Cholesky factorization. Returns `None` if the
     /// matrix is not positive definite.
     pub fn solve(&self, b: &[f64]) -> Option<Vec<f64>> {
-        let mut scratch = DenseScratch::default();
-        self.solve_into(b, &mut scratch).then_some(scratch.x)
-    }
-
-    /// Solves `A x = b` into `scratch.x`, reusing `scratch`'s buffers
-    /// across calls (zero allocation once warmed). Returns `false` if the
-    /// matrix is not positive definite.
-    pub fn solve_into(&self, b: &[f64], scratch: &mut DenseScratch) -> bool {
         assert_eq!(b.len(), self.n);
         let n = self.n;
-        scratch.l.clear();
-        scratch.l.resize(n * n, 0.0);
-        let l = &mut scratch.l;
         // Lower-triangular factor L with A = L Lᵀ.
+        let mut l = vec![0.0; n * n];
         for i in 0..n {
             for j in 0..=i {
                 let mut sum = self.a[i * n + j];
@@ -78,7 +62,7 @@ impl DenseSpd {
                 }
                 if i == j {
                     if sum <= 0.0 || !sum.is_finite() {
-                        return false;
+                        return None;
                     }
                     l[i * n + i] = sum.sqrt();
                 } else {
@@ -87,9 +71,7 @@ impl DenseSpd {
             }
         }
         // Forward substitution L y = b.
-        scratch.y.clear();
-        scratch.y.resize(n, 0.0);
-        let y = &mut scratch.y;
+        let mut y = vec![0.0; n];
         for i in 0..n {
             let mut sum = b[i];
             for k in 0..i {
@@ -98,9 +80,7 @@ impl DenseSpd {
             y[i] = sum / l[i * n + i];
         }
         // Back substitution Lᵀ x = y.
-        scratch.x.clear();
-        scratch.x.resize(n, 0.0);
-        let x = &mut scratch.x;
+        let mut x = vec![0.0; n];
         for i in (0..n).rev() {
             let mut sum = y[i];
             for k in i + 1..n {
@@ -108,84 +88,18 @@ impl DenseSpd {
             }
             x[i] = sum / l[i * n + i];
         }
-        true
+        Some(x)
     }
 }
 
-/// Reusable buffers for [`DenseSpd::solve_into`]: the Cholesky factor and
-/// the substitution vectors, kept allocated across solves.
-#[derive(Debug, Clone, Default)]
-pub struct DenseScratch {
-    l: Vec<f64>,
-    y: Vec<f64>,
-    /// The solution of the last successful solve.
-    pub x: Vec<f64>,
-}
-
-/// A sparse symmetric matrix assembled from coordinate triplets and stored
-/// in CSR form (full pattern, both triangles).
+/// A sparse symmetric matrix stored in CSR form (full pattern, both
+/// triangles).
 #[derive(Debug, Clone)]
 pub struct SparseSym {
     n: usize,
     row_ptr: Vec<usize>,
     col_idx: Vec<usize>,
     values: Vec<f64>,
-}
-
-/// Builder that accumulates `(i, j, value)` triplets; duplicates are summed.
-#[derive(Debug, Clone)]
-pub struct SparseBuilder {
-    n: usize,
-    triplets: Vec<(usize, usize, f64)>,
-}
-
-impl SparseBuilder {
-    /// Creates a builder for an `n × n` matrix.
-    pub fn new(n: usize) -> Self {
-        SparseBuilder {
-            n,
-            triplets: Vec::new(),
-        }
-    }
-
-    /// Adds `value` at `(i, j)` and, if `i != j`, at `(j, i)`.
-    pub fn add_sym(&mut self, i: usize, j: usize, value: f64) {
-        self.triplets.push((i, j, value));
-        if i != j {
-            self.triplets.push((j, i, value));
-        }
-    }
-
-    /// Finalizes into CSR form (duplicate triplets are summed).
-    pub fn build(mut self) -> SparseSym {
-        self.triplets.sort_unstable_by_key(|&(i, j, _)| (i, j));
-        let mut row_of: Vec<usize> = Vec::with_capacity(self.triplets.len());
-        let mut col_idx: Vec<usize> = Vec::with_capacity(self.triplets.len());
-        let mut values: Vec<f64> = Vec::with_capacity(self.triplets.len());
-        for &(i, j, v) in &self.triplets {
-            if row_of.last() == Some(&i) && col_idx.last() == Some(&j) {
-                // audit: unwrap-ok(push on the line above guarantees non-empty)
-                *values.last_mut().expect("non-empty alongside col_idx") += v;
-            } else {
-                row_of.push(i);
-                col_idx.push(j);
-                values.push(v);
-            }
-        }
-        let mut row_ptr = vec![0usize; self.n + 1];
-        for &r in &row_of {
-            row_ptr[r + 1] += 1;
-        }
-        for i in 0..self.n {
-            row_ptr[i + 1] += row_ptr[i];
-        }
-        SparseSym {
-            n: self.n,
-            row_ptr,
-            col_idx,
-            values,
-        }
-    }
 }
 
 impl SparseSym {
@@ -254,149 +168,212 @@ impl SparseSym {
 
     /// Dense entry lookup (for tests; `O(row nnz)`).
     pub fn get(&self, i: usize, j: usize) -> f64 {
-        let (lo, hi) = (self.row_ptr[i], self.row_ptr[i + 1]);
-        self.col_idx[lo..hi]
-            .iter()
-            .zip(&self.values[lo..hi])
-            .filter(|(&c, _)| c == j)
-            .map(|(_, &v)| v)
-            .sum()
-    }
-
-    /// `y = A x`.
-    pub fn mul_vec(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.n);
-        assert_eq!(y.len(), self.n);
-        for (i, yi) in y.iter_mut().enumerate() {
-            let mut acc = 0.0;
-            for k in self.row_ptr[i]..self.row_ptr[i + 1] {
-                acc += self.values[k] * x[self.col_idx[k]];
-            }
-            *yi = acc;
-        }
-    }
-
-    /// Diagonal entries (Jacobi preconditioner).
-    pub fn diagonal(&self) -> Vec<f64> {
-        (0..self.n).map(|i| self.get(i, i)).collect()
+        self.slot_of(i, j).map_or(0.0, |s| self.values[s])
     }
 }
 
-/// Reusable buffers for [`conjugate_gradient_into`], kept allocated across
-/// solves (workspace reuse).
-#[derive(Debug, Clone, Default)]
-pub struct CgScratch {
-    r: Vec<f64>,
-    z: Vec<f64>,
-    p: Vec<f64>,
-    ap: Vec<f64>,
-    inv_diag: Vec<f64>,
-    /// The solution of the last successful solve.
-    pub x: Vec<f64>,
-}
-
-/// Solves `A x = b` for SPD `A` by Jacobi-preconditioned conjugate gradient.
+/// Sparse LLᵀ factorization of a [`SparseSym`] pattern, EPANET-style:
+/// [`SparseCholesky::analyze`] orders the rows by minimum degree and lays
+/// out L once; [`SparseCholesky::factor`] then refactors any values on that
+/// pattern and [`SparseCholesky::solve_into`] runs the two triangular
+/// solves, all without allocating.
 ///
-/// Returns `None` if the iteration fails to reach `tol` (relative residual)
-/// within `max_iter` steps or breaks down.
-pub fn conjugate_gradient(a: &SparseSym, b: &[f64], tol: f64, max_iter: usize) -> Option<Vec<f64>> {
-    let mut scratch = CgScratch::default();
-    conjugate_gradient_into(a, b, None, tol, max_iter, &mut scratch).then_some(scratch.x)
+/// L is stored by columns in elimination order: column `k` holds its
+/// diagonal first, then its strictly-lower entries by ascending row.
+#[derive(Debug, Clone)]
+pub struct SparseCholesky {
+    /// `perm[k]` is the matrix row eliminated `k`-th.
+    perm: Vec<usize>,
+    /// Column `k` of L occupies `col_ptr[k]..col_ptr[k + 1]`.
+    col_ptr: Vec<usize>,
+    /// Row (in elimination order) of each stored entry of L.
+    row_idx: Vec<usize>,
+    /// Values of L after [`SparseCholesky::factor`].
+    values: Vec<f64>,
+    /// Row `j` of L left of the diagonal, as `(slot of L(j, k), end of
+    /// column k)` for ascending `k`; spans `row_ptr[j]..row_ptr[j + 1]`.
+    row_ptr: Vec<usize>,
+    row_entries: Vec<(usize, usize)>,
+    /// `(CSR slot, L slot)` for every entry on or below L's diagonal.
+    scatter: Vec<(usize, usize)>,
+    /// Dense work vector, indexed by elimination order.
+    work: Vec<f64>,
 }
 
-/// Warm-startable, allocation-free variant of [`conjugate_gradient`]: the
-/// iteration starts from `x0` (when given and of matching length) instead
-/// of zero, and every work vector lives in `scratch`. On success the
-/// solution is left in `scratch.x` and `true` is returned.
-pub fn conjugate_gradient_into(
-    a: &SparseSym,
-    b: &[f64],
-    x0: Option<&[f64]>,
-    tol: f64,
-    max_iter: usize,
-    scratch: &mut CgScratch,
-) -> bool {
-    let n = a.dim();
-    assert_eq!(b.len(), n);
-    let b_norm = b.iter().map(|v| v * v).sum::<f64>().sqrt();
-    if b_norm == 0.0 {
-        scratch.x.clear();
-        scratch.x.resize(n, 0.0);
-        return true;
-    }
-    scratch.inv_diag.clear();
-    scratch.inv_diag.extend(
-        (0..n)
-            .map(|i| a.get(i, i))
-            .map(|d| if d > 0.0 { 1.0 / d } else { 0.0 }),
-    );
+impl SparseCholesky {
+    /// Orders `a`'s pattern by minimum degree (ties go to the lowest row),
+    /// computes L's elimination pattern and maps every CSR slot on or
+    /// below L's diagonal to its L slot. Only the pattern of `a` is read.
+    pub fn analyze(a: &SparseSym) -> SparseCholesky {
+        let n = a.n;
+        // Minimum-degree elimination on the explicit elimination graph:
+        // eliminating a row joins all its remaining neighbors pairwise, and
+        // those neighbors are exactly its column of L.
+        let mut adj: Vec<BTreeSet<usize>> = (0..n)
+            .map(|i| {
+                a.col_idx[a.row_ptr[i]..a.row_ptr[i + 1]]
+                    .iter()
+                    .copied()
+                    .filter(|&j| j != i)
+                    .collect()
+            })
+            .collect();
+        let mut queue: BTreeSet<(usize, usize)> =
+            adj.iter().enumerate().map(|(i, s)| (s.len(), i)).collect();
+        let mut perm = Vec::with_capacity(n);
+        let mut columns: Vec<BTreeSet<usize>> = Vec::with_capacity(n);
+        while let Some((_, v)) = queue.pop_first() {
+            let neighbors = std::mem::take(&mut adj[v]);
+            for &u in &neighbors {
+                queue.remove(&(adj[u].len(), u));
+                adj[u].remove(&v);
+                adj[u].extend(neighbors.iter().copied().filter(|&w| w != u));
+                queue.insert((adj[u].len(), u));
+            }
+            perm.push(v);
+            columns.push(neighbors);
+        }
+        let mut inv = vec![0usize; n];
+        for (k, &row) in perm.iter().enumerate() {
+            inv[row] = k;
+        }
 
-    // Initial guess and residual r = b - A x.
-    match x0 {
-        Some(guess) if guess.len() == n => {
-            scratch.x.clear();
-            scratch.x.extend_from_slice(guess);
-            scratch.ap.clear();
-            scratch.ap.resize(n, 0.0);
-            a.mul_vec(&scratch.x, &mut scratch.ap);
-            scratch.r.clear();
-            scratch
-                .r
-                .extend(b.iter().zip(&scratch.ap).map(|(bi, axi)| bi - axi));
+        let mut col_ptr = Vec::with_capacity(n + 1);
+        col_ptr.push(0);
+        let mut row_idx = Vec::new();
+        for (k, rows) in columns.iter().enumerate() {
+            let start = row_idx.len();
+            row_idx.push(k);
+            row_idx.extend(rows.iter().map(|&r| inv[r]));
+            row_idx[start + 1..].sort_unstable();
+            col_ptr.push(row_idx.len());
         }
-        _ => {
-            scratch.x.clear();
-            scratch.x.resize(n, 0.0);
-            scratch.r.clear();
-            scratch.r.extend_from_slice(b);
+
+        // Row structure, filled column by column so each row lists its
+        // columns in ascending order.
+        let mut rows: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
+        for k in 0..n {
+            for p in col_ptr[k] + 1..col_ptr[k + 1] {
+                rows[row_idx[p]].push((p, col_ptr[k + 1]));
+            }
+        }
+        let mut row_ptr = Vec::with_capacity(n + 1);
+        row_ptr.push(0);
+        let mut row_entries = Vec::with_capacity(row_idx.len() - n);
+        for row in &rows {
+            row_entries.extend_from_slice(row);
+            row_ptr.push(row_entries.len());
+        }
+
+        // CSR row `perm[k]` holds column k of the permuted matrix (the
+        // pattern is symmetric and so are the values written into it).
+        let mut slot_in_column = vec![0usize; n];
+        let mut scatter = Vec::with_capacity(col_ptr[n]);
+        for (k, &row) in perm.iter().enumerate() {
+            for p in col_ptr[k]..col_ptr[k + 1] {
+                slot_in_column[row_idx[p]] = p;
+            }
+            for slot in a.row_ptr[row]..a.row_ptr[row + 1] {
+                let r = inv[a.col_idx[slot]];
+                if r >= k {
+                    scatter.push((slot, slot_in_column[r]));
+                }
+            }
+        }
+
+        SparseCholesky {
+            perm,
+            values: vec![0.0; row_idx.len()],
+            col_ptr,
+            row_idx,
+            row_ptr,
+            row_entries,
+            scatter,
+            work: vec![0.0; n],
         }
     }
-    scratch.z.clear();
-    scratch.z.extend(
-        scratch
-            .r
-            .iter()
-            .zip(&scratch.inv_diag)
-            .map(|(ri, di)| ri * di),
-    );
-    scratch.p.clear();
-    scratch.p.extend_from_slice(&scratch.z);
-    scratch.ap.clear();
-    scratch.ap.resize(n, 0.0);
 
-    let mut rz: f64 = scratch.r.iter().zip(&scratch.z).map(|(a, b)| a * b).sum();
+    /// Matrix dimension.
+    pub fn dim(&self) -> usize {
+        self.perm.len()
+    }
 
-    for _ in 0..max_iter {
-        // A warm start may already satisfy the tolerance.
-        let r_norm = scratch.r.iter().map(|v| v * v).sum::<f64>().sqrt();
-        if r_norm <= tol * b_norm {
-            return true;
+    /// The elimination order: entry `k` is the row eliminated `k`-th.
+    pub fn permutation(&self) -> &[usize] {
+        &self.perm
+    }
+
+    /// Number of strictly-lower nonzeros in L (original entries plus fill).
+    pub fn factor_nnz(&self) -> usize {
+        self.row_idx.len() - self.dim()
+    }
+
+    /// Refactors L from `a`'s current values (left-looking, one column at a
+    /// time). Returns `false` on a non-positive or non-finite pivot, in
+    /// which case L is unusable until the next successful call.
+    ///
+    /// `a` must have the pattern this factorization was analyzed from.
+    pub fn factor(&mut self, a: &SparseSym) -> bool {
+        debug_assert_eq!(a.n, self.dim(), "pattern was analyzed for another matrix");
+        self.values.fill(0.0);
+        for &(src, dst) in &self.scatter {
+            self.values[dst] = a.values[src];
         }
-        a.mul_vec(&scratch.p, &mut scratch.ap);
-        let pap: f64 = scratch.p.iter().zip(&scratch.ap).map(|(a, b)| a * b).sum();
-        if pap <= 0.0 || !pap.is_finite() {
-            return false;
+        for j in 0..self.dim() {
+            let (start, end) = (self.col_ptr[j], self.col_ptr[j + 1]);
+            for p in start..end {
+                self.work[self.row_idx[p]] = self.values[p];
+            }
+            // Subtract every earlier column k with L(j, k) ≠ 0 from rows
+            // j.. of column j; the first term updates the diagonal.
+            for &(p_jk, end_k) in &self.row_entries[self.row_ptr[j]..self.row_ptr[j + 1]] {
+                let l_jk = self.values[p_jk];
+                for p in p_jk..end_k {
+                    self.work[self.row_idx[p]] -= self.values[p] * l_jk;
+                }
+            }
+            let pivot = self.work[j];
+            if pivot <= 0.0 || !pivot.is_finite() {
+                return false;
+            }
+            let d = pivot.sqrt();
+            self.values[start] = d;
+            for p in start + 1..end {
+                self.values[p] = self.work[self.row_idx[p]] / d;
+            }
         }
-        let alpha = rz / pap;
-        for i in 0..n {
-            scratch.x[i] += alpha * scratch.p[i];
-            scratch.r[i] -= alpha * scratch.ap[i];
+        true
+    }
+
+    /// Solves `A x = b` with the factor from the last successful
+    /// [`SparseCholesky::factor`]: `L y = P b`, then `Lᵀ z = y`, `x = Pᵀ z`.
+    pub fn solve_into(&mut self, b: &[f64], x: &mut [f64]) {
+        let n = self.dim();
+        assert_eq!(b.len(), n);
+        assert_eq!(x.len(), n);
+        for (k, &row) in self.perm.iter().enumerate() {
+            self.work[k] = b[row];
         }
-        let r_norm = scratch.r.iter().map(|v| v * v).sum::<f64>().sqrt();
-        if r_norm <= tol * b_norm {
-            return true;
+        for j in 0..n {
+            let (start, end) = (self.col_ptr[j], self.col_ptr[j + 1]);
+            let y = self.work[j] / self.values[start];
+            self.work[j] = y;
+            for p in start + 1..end {
+                self.work[self.row_idx[p]] -= self.values[p] * y;
+            }
         }
-        for i in 0..n {
-            scratch.z[i] = scratch.r[i] * scratch.inv_diag[i];
+        for j in (0..n).rev() {
+            let (start, end) = (self.col_ptr[j], self.col_ptr[j + 1]);
+            let mut sum = self.work[j];
+            for p in start + 1..end {
+                sum -= self.values[p] * self.work[self.row_idx[p]];
+            }
+            self.work[j] = sum / self.values[start];
         }
-        let rz_new: f64 = scratch.r.iter().zip(&scratch.z).map(|(a, b)| a * b).sum();
-        let beta = rz_new / rz;
-        rz = rz_new;
-        for i in 0..n {
-            scratch.p[i] = scratch.z[i] + beta * scratch.p[i];
+        for (k, &row) in self.perm.iter().enumerate() {
+            x[row] = self.work[k];
         }
     }
-    false
 }
 
 #[cfg(test)]
@@ -415,15 +392,39 @@ mod tests {
         m
     }
 
-    fn laplacian_sparse(n: usize) -> SparseSym {
-        let mut b = SparseBuilder::new(n);
-        for i in 0..n {
-            b.add_sym(i, i, 2.0);
-            if i + 1 < n {
-                b.add_sym(i, i + 1, -1.0);
+    /// Writes a symmetric matrix given by `(i, j, value)` (diagonal and
+    /// upper triangle) into a fresh pattern.
+    fn sparse_from(n: usize, entries: &[(usize, usize, f64)]) -> SparseSym {
+        let pairs: Vec<(usize, usize)> = entries.iter().map(|&(i, j, _)| (i, j)).collect();
+        let mut m = SparseSym::symbolic(n, &pairs);
+        for &(i, j, v) in entries {
+            m.add_at(m.slot_of(i, j).unwrap(), v);
+            if i != j {
+                m.add_at(m.slot_of(j, i).unwrap(), v);
             }
         }
-        b.build()
+        m
+    }
+
+    fn sparse_solve(a: &SparseSym, b: &[f64]) -> Option<Vec<f64>> {
+        let mut chol = SparseCholesky::analyze(a);
+        let mut x = vec![0.0; a.dim()];
+        chol.factor(a).then(|| {
+            chol.solve_into(b, &mut x);
+            x
+        })
+    }
+
+    fn assert_matches_dense(n: usize, entries: &[(usize, usize, f64)], b: &[f64]) {
+        let mut dense = DenseSpd::zeros(n);
+        for &(i, j, v) in entries {
+            dense.add_sym(i, j, v);
+        }
+        let expected = dense.solve(b).unwrap();
+        let actual = sparse_solve(&sparse_from(n, entries), b).unwrap();
+        for (a, e) in actual.iter().zip(&expected) {
+            assert!((a - e).abs() < 1e-12, "{a} vs {e}");
+        }
     }
 
     #[test]
@@ -462,118 +463,90 @@ mod tests {
     }
 
     #[test]
-    fn sparse_assembly_merges_duplicates() {
-        let mut b = SparseBuilder::new(2);
-        b.add_sym(0, 0, 1.0);
-        b.add_sym(0, 0, 2.0);
-        b.add_sym(0, 1, -1.0);
-        let m = b.build();
-        assert!((m.get(0, 0) - 3.0).abs() < 1e-12);
-        assert!((m.get(0, 1) + 1.0).abs() < 1e-12);
-        assert!((m.get(1, 0) + 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sparse_matvec_matches_dense() {
-        let n = 8;
-        let d = laplacian_dense(n);
-        let s = laplacian_sparse(n);
-        let x: Vec<f64> = (0..n).map(|i| i as f64 * 0.5 - 1.0).collect();
-        let mut ys = vec![0.0; n];
-        s.mul_vec(&x, &mut ys);
-        for (i, ysi) in ys.iter().enumerate() {
-            let yd: f64 = (0..n).map(|j| d.get(i, j) * x[j]).sum();
-            assert!((ysi - yd).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn cg_matches_cholesky() {
-        let n = 30;
-        let d = laplacian_dense(n);
-        let s = laplacian_sparse(n);
-        let b: Vec<f64> = (0..n).map(|i| ((i * 7) % 5) as f64 - 2.0).collect();
-        let xd = d.solve(&b).unwrap();
-        let xs = conjugate_gradient(&s, &b, 1e-12, 10 * n).unwrap();
-        for (a, b) in xd.iter().zip(&xs) {
-            assert!((a - b).abs() < 1e-8, "{a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn cg_zero_rhs_returns_zero() {
-        let s = laplacian_sparse(5);
-        let x = conjugate_gradient(&s, &[0.0; 5], 1e-12, 100).unwrap();
-        assert!(x.iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
-    fn symbolic_pattern_matches_builder_and_slots_resolve() {
+    fn symbolic_pattern_merges_pairs_and_slots_resolve() {
         let n = 6;
-        let pairs: Vec<(usize, usize)> = (0..n - 1).map(|i| (i, i + 1)).collect();
+        let mut pairs: Vec<(usize, usize)> = (0..n - 1).map(|i| (i, i + 1)).collect();
+        // Mirrored and repeated pairs collapse to one slot each.
+        pairs.push((1, 0));
+        pairs.push((2, 3));
         let mut m = SparseSym::symbolic(n, &pairs);
-        // Write the chain Laplacian through slots.
-        for i in 0..n {
-            let d = m.slot_of(i, i).unwrap();
-            m.add_at(d, 2.0);
-        }
-        for &(i, j) in &pairs {
-            m.add_at(m.slot_of(i, j).unwrap(), -1.0);
-            m.add_at(m.slot_of(j, i).unwrap(), -1.0);
-        }
-        let reference = laplacian_sparse(n);
-        for i in 0..n {
-            for j in 0..n {
-                assert!((m.get(i, j) - reference.get(i, j)).abs() < 1e-12);
-            }
-        }
+        assert_eq!(m.nnz(), n + 2 * (n - 1));
+        m.add_at(m.slot_of(0, 1).unwrap(), -1.0);
+        m.add_at(m.slot_of(0, 1).unwrap(), -0.5);
+        assert_eq!(m.get(0, 1), -1.5);
+        assert_eq!(m.get(1, 0), 0.0);
         assert!(m.slot_of(0, 3).is_none());
+        assert_eq!(m.get(0, 3), 0.0);
         m.reset_values();
-        assert_eq!(m.get(0, 0), 0.0);
-        assert_eq!(m.nnz(), reference.nnz());
+        assert_eq!(m.get(0, 1), 0.0);
     }
 
     #[test]
-    fn warm_started_cg_converges_fast_and_matches_cold() {
-        let n = 40;
-        let s = laplacian_sparse(n);
-        let b: Vec<f64> = (0..n).map(|i| ((i * 3) % 7) as f64 - 3.0).collect();
-        let cold = conjugate_gradient(&s, &b, 1e-12, 10 * n).unwrap();
-        // Warm start from the exact solution: must verify convergence
-        // without moving.
-        let mut scratch = CgScratch::default();
-        assert!(conjugate_gradient_into(
-            &s,
-            &b,
-            Some(&cold),
-            1e-12,
-            1,
-            &mut scratch
-        ));
-        for (a, b) in cold.iter().zip(&scratch.x) {
-            assert!((a - b).abs() < 1e-10);
-        }
-        // Warm start from a perturbed solution: same answer as cold.
-        let perturbed: Vec<f64> = cold.iter().map(|v| v + 1e-3).collect();
-        assert!(conjugate_gradient_into(
-            &s,
-            &b,
-            Some(&perturbed),
-            1e-12,
-            10 * n,
-            &mut scratch
-        ));
-        for (a, b) in cold.iter().zip(&scratch.x) {
-            assert!((a - b).abs() < 1e-8);
-        }
+    fn sparse_cholesky_matches_dense_on_chain() {
+        let n = 30;
+        let mut entries: Vec<(usize, usize, f64)> = (0..n).map(|i| (i, i, 2.0)).collect();
+        entries.extend((0..n - 1).map(|i| (i, i + 1, -1.0)));
+        let b: Vec<f64> = (0..n).map(|i| ((i * 7) % 5) as f64 - 2.0).collect();
+        assert_matches_dense(n, &entries, &b);
+        // A chain eliminated end-first produces no fill.
+        assert_eq!(
+            SparseCholesky::analyze(&sparse_from(n, &entries)).factor_nnz(),
+            n - 1
+        );
     }
 
     #[test]
-    fn cg_fails_gracefully_on_indefinite() {
-        let mut b = SparseBuilder::new(2);
-        b.add_sym(0, 0, 1.0);
-        b.add_sym(1, 1, -1.0);
-        let m = b.build();
-        assert!(conjugate_gradient(&m, &[1.0, 1.0], 1e-12, 100).is_none());
+    fn minimum_degree_orders_a_star_leaves_first() {
+        // Hub 0 joined to 5 leaves: eliminating the hub first would fill
+        // the whole matrix, the leaves first fills nothing. Once one leaf
+        // is left, hub and leaf tie at degree 1 and the lower row goes.
+        let n = 6;
+        let mut entries: Vec<(usize, usize, f64)> = (0..n).map(|i| (i, i, 6.0)).collect();
+        entries.extend((1..n).map(|i| (0, i, -1.0)));
+        let s = sparse_from(n, &entries);
+        let chol = SparseCholesky::analyze(&s);
+        assert_eq!(chol.permutation(), &[1, 2, 3, 4, 0, 5]);
+        assert_eq!(chol.factor_nnz(), n - 1);
+        let b: Vec<f64> = (0..n).map(|i| i as f64).collect();
+        assert_matches_dense(n, &entries, &b);
+    }
+
+    #[test]
+    fn fill_in_is_factored_exactly() {
+        // A 4-cycle must create one fill entry whichever row goes first.
+        let entries = [
+            (0, 0, 4.0),
+            (1, 1, 5.0),
+            (2, 2, 6.0),
+            (3, 3, 7.0),
+            (0, 1, -1.0),
+            (1, 2, -2.0),
+            (2, 3, -1.5),
+            (0, 3, -0.5),
+        ];
+        let s = sparse_from(4, &entries);
+        assert_eq!(SparseCholesky::analyze(&s).factor_nnz(), 5);
+        assert_matches_dense(4, &entries, &[1.0, -2.0, 3.0, 0.5]);
+    }
+
+    #[test]
+    fn sparse_cholesky_rejects_indefinite_and_recovers() {
+        let mut s = sparse_from(2, &[(0, 0, 1.0), (1, 1, -1.0)]);
+        let mut chol = SparseCholesky::analyze(&s);
+        assert!(!chol.factor(&s));
+        // The same analysis refactors new values on the pattern.
+        s.reset_values();
+        s.add_at(s.slot_of(1, 1).unwrap(), 4.0);
+        s.add_at(s.slot_of(0, 0).unwrap(), 1.0);
+        assert!(chol.factor(&s));
+        let mut x = [0.0; 2];
+        chol.solve_into(&[1.0, 2.0], &mut x);
+        assert_eq!(x, [1.0, 0.5]);
+    }
+
+    #[test]
+    fn sparse_cholesky_rejects_nan() {
+        let s = sparse_from(2, &[(0, 0, f64::NAN), (1, 1, 1.0)]);
+        assert!(sparse_solve(&s, &[1.0, 1.0]).is_none());
     }
 }

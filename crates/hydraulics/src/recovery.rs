@@ -2,11 +2,11 @@
 //!
 //! Phase-I corpus generation solves tens of thousands of perturbed
 //! scenarios; a handful inevitably land in the solver's bad spots — a warm
-//! start from the wrong basin, a limit cycle between big emitters and
-//! flapping check valves, a conjugate-gradient breakdown on a borderline
-//! matrix. Aborting a 20k-scenario build on any of those is not acceptable
-//! for a production pipeline, so [`solve_snapshot_recovering`] climbs a
-//! short deterministic ladder before giving up:
+//! start from the wrong basin, or a limit cycle between big emitters and
+//! flapping check valves. Aborting a 20k-scenario build on any of those is
+//! not acceptable for a production pipeline, so
+//! [`solve_snapshot_recovering`] climbs a short deterministic ladder before
+//! giving up:
 //!
 //! 1. **Cold restart** — on [`HydraulicError::NotConverged`] or
 //!    [`HydraulicError::NumericalBlowup`] with a warm start set, discard the
@@ -16,9 +16,11 @@
 //!    [damping](crate::SolverOptions::damping) and multiply the iteration
 //!    budget by [`ESCALATION_BUDGET_FACTOR`]; under-relaxation breaks the
 //!    oscillation-type divergences that a bigger budget alone never fixes.
-//! 3. **Dense fallback** — on [`HydraulicError::LinearSolveFailed`] under
-//!    the CG backend, retry with dense Cholesky, which factors borderline
-//!    matrices CG gives up on.
+//!
+//! The linear solve is an exact sparse Cholesky factorization, so there is
+//! no other linear solver to retry with: a non-positive pivot
+//! ([`HydraulicError::LinearSolveFailed`]) ends the ladder like the
+//! structural errors do, and corpus generation resamples the scenario.
 //!
 //! Every rung fires at most once per solve and the actions taken are
 //! recorded in a [`SolveReport`], so callers (and the robustness bench) can
@@ -31,7 +33,7 @@ use aqua_telemetry::TelemetryCtx;
 use crate::error::HydraulicError;
 use crate::scenario::Scenario;
 use crate::snapshot::Snapshot;
-use crate::solver::{effective_backend, solve_snapshot_traced, LinearBackend, SolverOptions};
+use crate::solver::{solve_snapshot_traced, SolverOptions};
 use crate::workspace::SolverWorkspace;
 
 /// Iteration-budget multiplier applied by the escalation rung.
@@ -51,8 +53,6 @@ pub enum RecoveryAction {
         /// Iteration budget used for the retry.
         max_iterations: usize,
     },
-    /// The CG linear backend was swapped for dense Cholesky.
-    DenseFallback,
 }
 
 impl RecoveryAction {
@@ -62,7 +62,6 @@ impl RecoveryAction {
         match self {
             RecoveryAction::ColdRestart => "hydraulics.recovery.cold_restarts",
             RecoveryAction::Escalated { .. } => "hydraulics.recovery.escalations",
-            RecoveryAction::DenseFallback => "hydraulics.recovery.dense_fallbacks",
         }
     }
 
@@ -72,10 +71,6 @@ impl RecoveryAction {
 
     fn is_escalation(&self) -> bool {
         matches!(self, RecoveryAction::Escalated { .. })
-    }
-
-    fn is_dense_fallback(&self) -> bool {
-        matches!(self, RecoveryAction::DenseFallback)
     }
 }
 
@@ -122,7 +117,6 @@ fn next_rung(
     warm_start_set: bool,
     taken: &[RecoveryAction],
     base: &SolverOptions,
-    n_junctions: usize,
 ) -> Option<RecoveryAction> {
     match err {
         HydraulicError::NotConverged { .. } | HydraulicError::NumericalBlowup => {
@@ -137,33 +131,23 @@ fn next_rung(
                 None
             }
         }
-        HydraulicError::LinearSolveFailed { .. } => {
-            let already_dense =
-                effective_backend(base.backend, n_junctions) == LinearBackend::Dense;
-            if !already_dense && !taken.iter().any(RecoveryAction::is_dense_fallback) {
-                Some(RecoveryAction::DenseFallback)
-            } else {
-                None
-            }
-        }
-        // Structural errors (no source, disconnected junction) cannot be
-        // retried away.
+        // A non-positive pivot in the exact factorization, and structural
+        // errors (no source, disconnected junction), cannot be retried away.
         _ => None,
     }
 }
 
 /// [`solve_snapshot_with`](crate::solve_snapshot_with) behind the recovery
 /// ladder: on a recoverable failure the solve is retried — cold, then
-/// damped with a bigger budget, then (for linear-solve breakdowns) on the
-/// dense backend — and the actions taken are recorded in the returned
-/// [`SolveReport`]. Each rung fires at most once, so the ladder terminates
-/// after at most four attempts.
+/// damped with a bigger budget — and the actions taken are recorded in the
+/// returned [`SolveReport`]. Each rung fires at most once, so the ladder
+/// terminates after at most three attempts.
 ///
 /// # Errors
 ///
 /// Returns the final error once the ladder is exhausted, or immediately for
-/// structural failures ([`HydraulicError::NoSource`],
-/// [`HydraulicError::DisconnectedFromSource`]).
+/// failures no retry can fix ([`HydraulicError::LinearSolveFailed`],
+/// [`HydraulicError::NoSource`], [`HydraulicError::DisconnectedFromSource`]).
 ///
 /// # Panics
 ///
@@ -211,13 +195,7 @@ pub fn solve_snapshot_recovering_traced(
             }
             Err(err) => {
                 let warm_set = ws.warm_start().is_some();
-                let Some(action) = next_rung(
-                    &err,
-                    warm_set,
-                    &report.recoveries,
-                    opts,
-                    ws.junction_count(),
-                ) else {
+                let Some(action) = next_rung(&err, warm_set, &report.recoveries, opts) else {
                     return Err(err);
                 };
                 match action {
@@ -229,7 +207,6 @@ pub fn solve_snapshot_recovering_traced(
                         current.damping = damping;
                         current.max_iterations = max_iterations;
                     }
-                    RecoveryAction::DenseFallback => current.backend = LinearBackend::Dense,
                 }
                 report.recoveries.push(action);
             }
@@ -345,12 +322,12 @@ mod tests {
         };
         // Warm set, nothing taken: cold restart first.
         assert_eq!(
-            next_rung(&not_converged, true, &[], &base, 500),
+            next_rung(&not_converged, true, &[], &base),
             Some(RecoveryAction::ColdRestart)
         );
         // No warm start: straight to escalation.
         assert!(matches!(
-            next_rung(&not_converged, false, &[], &base, 500),
+            next_rung(&not_converged, false, &[], &base),
             Some(RecoveryAction::Escalated { .. })
         ));
         // After cold restart + escalation: exhausted.
@@ -361,21 +338,16 @@ mod tests {
                 max_iterations: 1600,
             },
         ];
-        assert_eq!(next_rung(&not_converged, false, &taken, &base, 500), None);
+        assert_eq!(next_rung(&not_converged, false, &taken, &base), None);
 
-        // Linear failures: CG (big network under Auto) falls back to dense.
+        // A non-positive pivot never retries, warm start or not: whether
+        // the normal matrix is definite depends on which junctions reach a
+        // fixed head, and no rung changes that.
         let linear = HydraulicError::LinearSolveFailed { detail: "x" };
-        assert_eq!(
-            next_rung(&linear, false, &[], &base, 500),
-            Some(RecoveryAction::DenseFallback)
-        );
-        // Already dense (small network under Auto): nothing left.
-        assert_eq!(next_rung(&linear, false, &[], &base, 50), None);
+        assert_eq!(next_rung(&linear, true, &[], &base), None);
+        assert_eq!(next_rung(&linear, false, &[], &base), None);
         // Structural errors never retry.
-        assert_eq!(
-            next_rung(&HydraulicError::NoSource, true, &[], &base, 500),
-            None
-        );
+        assert_eq!(next_rung(&HydraulicError::NoSource, true, &[], &base), None);
     }
 
     #[test]
@@ -434,10 +406,6 @@ mod tests {
                 "hydraulics.recovery.escalations",
                 RecoveryAction::is_escalation,
             ),
-            (
-                "hydraulics.recovery.dense_fallbacks",
-                RecoveryAction::is_dense_fallback,
-            ),
         ] {
             let from_reports: u64 = reports
                 .iter()
@@ -460,7 +428,7 @@ mod tests {
     fn blowup_is_treated_as_recoverable() {
         let base = SolverOptions::default();
         assert!(matches!(
-            next_rung(&HydraulicError::NumericalBlowup, false, &[], &base, 500),
+            next_rung(&HydraulicError::NumericalBlowup, false, &[], &base),
             Some(RecoveryAction::Escalated { .. })
         ));
     }

@@ -5,7 +5,10 @@
 //! positive definite system for junction heads, then updating flows. This is
 //! the algorithm EPANET 2 uses (Rossman, EPANET 2 Users Manual, App. D);
 //! emitters enter the node equations as pressure-dependent demands with
-//! their own linearization.
+//! their own linearization. As in EPANET, each iteration's linear system is
+//! solved by a sparse Cholesky factorization whose minimum-degree ordering
+//! and pattern are analyzed once per network (see
+//! [`SolverWorkspace`](crate::SolverWorkspace)).
 
 use std::collections::BTreeMap;
 
@@ -19,27 +22,11 @@ use crate::scenario::Scenario;
 use crate::snapshot::Snapshot;
 use crate::workspace::SolverWorkspace;
 
-/// Which linear-solver backend the GGA inner loop uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LinearBackend {
-    /// Dense Cholesky — `O(n³)` but cache-friendly; best for small networks.
-    Dense,
-    /// Jacobi-preconditioned conjugate gradient on CSR — scales to large
-    /// networks.
-    SparseCg,
-    /// Dense below 150 junctions, sparse above (the crossover measured in
-    /// the backend ablation bench).
-    #[default]
-    Auto,
-}
-
 /// Tunable parameters of the snapshot solver.
 #[derive(Debug, Clone)]
 pub struct SolverOptions {
     /// Friction model (default Hazen–Williams, as in EPANET).
     pub headloss: HeadlossModel,
-    /// Linear backend selection.
-    pub backend: LinearBackend,
     /// Convergence tolerance on relative total flow change (EPANET default
     /// 1e-3; we default tighter for test reproducibility).
     pub tolerance: f64,
@@ -58,7 +45,6 @@ impl Default for SolverOptions {
     fn default() -> Self {
         SolverOptions {
             headloss: HeadlossModel::default(),
-            backend: LinearBackend::default(),
             tolerance: 1e-6,
             max_iterations: 200,
             damping: 1.0,
@@ -94,8 +80,9 @@ pub fn solve_snapshot(
 }
 
 /// [`solve_snapshot`] against a cached [`SolverWorkspace`]: the symbolic
-/// CSR structure and every scratch buffer come from `ws` (zero assembly
-/// sort/alloc per iteration), the Newton iteration seeds from `ws`'s warm
+/// CSR structure, the Cholesky analysis, the Hazen–Williams coefficients
+/// and every scratch buffer come from `ws` (no symbolic work or allocation
+/// per iteration), the Newton iteration seeds from `ws`'s warm
 /// start when one is set and dimensionally valid, and on success the
 /// converged solution is stored back as the next solve's warm start.
 ///
@@ -273,8 +260,11 @@ fn solve_core(
             } else {
                 match &link.kind {
                     LinkKind::Pipe(pipe) => {
-                        let coeffs = opts.headloss.pipe_coeffs(pipe, q);
-                        (coeffs.headloss(q), coeffs.gradient(q))
+                        let coeffs = match opts.headloss {
+                            HeadlossModel::HazenWilliams => ws.hw_coeffs[li],
+                            model => model.pipe_coeffs(pipe, q),
+                        };
+                        coeffs.headloss_and_gradient(q)
                     }
                     LinkKind::Pump(pump) => {
                         // Head *loss* from suction to discharge is negative:
@@ -353,13 +343,13 @@ fn solve_core(
             }
         }
 
-        // Matrix assembly + linear solve happen inside the workspace,
-        // writing conductances through the cached CSR slot map.
-        let use_dense = effective_backend(opts.backend, n_junc) == LinearBackend::Dense;
+        // Matrix assembly, refactorization and the triangular solves happen
+        // inside the workspace, writing conductances through the cached CSR
+        // slot map.
         if opts.damping < 1.0 {
             prev_heads.copy_from_slice(&ws.heads);
         }
-        ws.solve_linear_into_heads(use_dense)?;
+        ws.solve_linear_into_heads()?;
         if opts.damping < 1.0 {
             // Blend junction heads toward the solve output; fixed heads are
             // untouched (the solve never rewrites them).
@@ -456,19 +446,6 @@ fn solve_core(
         emitter_flows,
         iterations,
     })
-}
-
-pub(crate) fn effective_backend(requested: LinearBackend, n_junc: usize) -> LinearBackend {
-    match requested {
-        LinearBackend::Auto => {
-            if n_junc <= 150 {
-                LinearBackend::Dense
-            } else {
-                LinearBackend::SparseCg
-            }
-        }
-        other => other,
-    }
 }
 
 #[cfg(test)]
@@ -679,10 +656,6 @@ mod tests {
         assert!(snap.max_mass_residual(&net) < 1e-5);
         assert!(snap.total_leakage() > 0.0);
     }
-
-    // `dense_and_sparse_backends_agree` was promoted to a proptest over
-    // randomized synth networks exercising the workspace path — see
-    // tests/warm_start_props.rs.
 
     #[test]
     fn all_junctions_pressurized_on_both_networks() {

@@ -2,28 +2,33 @@
 //!
 //! Dataset generation (aqua-sensing) and extended-period simulation both
 //! solve the *same* network hundreds of thousands of times with slightly
-//! different boundary conditions. Two things dominate the cost of the naive
-//! loop:
+//! different boundary conditions. Three things dominate the cost of the
+//! naive loop:
 //!
 //! 1. **Symbolic work per Newton iteration.** The GGA normal matrix has a
 //!    fixed sparsity pattern (one row per junction, one off-diagonal per
-//!    junction–junction link), yet the triplet builder re-sorts and
-//!    re-allocates it on every iteration of every solve.
-//! 2. **Cold Newton starts.** Consecutive solves differ by one leak or one
+//!    junction–junction link), so its CSR layout, its minimum-degree
+//!    ordering and the pattern of its Cholesky factor never change.
+//! 2. **Per-iteration pipe constants.** A Hazen–Williams pipe's resistance
+//!    and minor-loss coefficients depend only on the pipe.
+//! 3. **Cold Newton starts.** Consecutive solves differ by one leak or one
 //!    15-minute demand step, so the previous solution is an excellent
 //!    initial iterate — but the plain entry point starts every solve from
 //!    the same synthetic guess.
 //!
-//! [`SolverWorkspace`] fixes both: it caches the CSR symbolic structure
-//! together with a link→slot assembly map (so each iteration scatters
-//! conductances straight into the value array with zero sorting or
-//! allocation), keeps every dense/CG/scratch buffer alive across solves,
-//! and threads a [`WarmStart`] from each converged solve into the next.
+//! [`SolverWorkspace`] fixes all three: it caches the CSR structure with a
+//! link→slot assembly map (each iteration scatters conductances straight
+//! into the value array) and the [`SparseCholesky`] analysis (each
+//! iteration refactors numerically and runs two triangular solves), caches
+//! every pipe's Hazen–Williams coefficients, keeps every buffer alive
+//! across solves, and threads a [`WarmStart`] from each converged solve
+//! into the next.
 
-use aqua_net::{Network, NodeId};
+use aqua_net::{LinkKind, Network, NodeId};
 
 use crate::error::HydraulicError;
-use crate::linalg::{conjugate_gradient_into, CgScratch, DenseScratch, DenseSpd, SparseSym};
+use crate::headloss::PipeCoeffs;
+use crate::linalg::{SparseCholesky, SparseSym};
 use crate::snapshot::Snapshot;
 
 /// A converged solution used to seed the next solve's Newton iteration.
@@ -60,8 +65,9 @@ pub(crate) struct LinkSlots {
 }
 
 /// Reusable per-network solver state: symbolic CSR structure, assembly slot
-/// maps, linear-solver scratch, per-iteration buffers and the warm-start
-/// chain. Create once per network (per thread), then pass to
+/// maps, the analyzed Cholesky factor, Hazen–Williams pipe coefficients,
+/// per-iteration buffers and the warm-start chain. Create once per network
+/// (per thread), then pass to
 /// [`solve_snapshot_with`](crate::solve_snapshot_with) for every solve.
 ///
 /// # Example
@@ -86,10 +92,12 @@ pub struct SolverWorkspace {
     pub(crate) row_of: Vec<Option<usize>>,
     /// Junction row -> node id.
     pub(crate) junctions: Vec<NodeId>,
-    /// Per-link `(row(from), row(to))`, cached for dense assembly.
+    /// Per-link `(row(from), row(to))`, cached for right-hand-side assembly.
     pub(crate) link_rows: Vec<(Option<usize>, Option<usize>)>,
     /// Node elevations, cached for snapshot output.
     pub(crate) elevations: Vec<f64>,
+    /// Per-link Hazen–Williams coefficients (zero for pumps and valves).
+    pub(crate) hw_coeffs: Vec<PipeCoeffs>,
 
     /// Symbolic CSR pattern of the normal matrix, values rewritten in place
     /// each iteration.
@@ -98,13 +106,11 @@ pub struct SolverWorkspace {
     link_slots: Vec<LinkSlots>,
     /// Per-junction-row CSR slot of the diagonal entry.
     diag_slot: Vec<usize>,
-
-    /// Dense normal matrix, allocated lazily on first dense solve.
-    dense: DenseSpd,
-    dense_scratch: DenseScratch,
-    cg_scratch: CgScratch,
-    /// CG initial guess, gathered from the current junction heads.
-    x0: Vec<f64>,
+    /// Minimum-degree ordering, factor pattern and CSR→L scatter map of
+    /// `sparse`, refactored in place each iteration.
+    factor: SparseCholesky,
+    /// Junction heads from the last linear solve, by junction row.
+    x: Vec<f64>,
 
     // Per-solve buffers (see solver.rs for their roles).
     pub(crate) p_link: Vec<f64>,
@@ -121,8 +127,9 @@ pub struct SolverWorkspace {
 
 impl SolverWorkspace {
     /// Builds the workspace for `net`: junction indexing, the symbolic CSR
-    /// pattern, and the link→slot assembly map. `O(links · log(row nnz))`,
-    /// paid once per network instead of once per Newton iteration.
+    /// pattern, the link→slot assembly map, the minimum-degree ordering and
+    /// Cholesky pattern, and the Hazen–Williams pipe coefficients. Paid once
+    /// per network instead of once per Newton iteration.
     pub fn new(net: &Network) -> Self {
         let n_nodes = net.node_count();
         let n_links = net.link_count();
@@ -171,6 +178,7 @@ impl SolverWorkspace {
                 },
             })
             .collect();
+        let factor = SparseCholesky::analyze(&sparse);
 
         SolverWorkspace {
             n_nodes,
@@ -179,13 +187,19 @@ impl SolverWorkspace {
             junctions,
             link_rows,
             elevations: net.nodes().iter().map(|n| n.elevation).collect(),
+            hw_coeffs: net
+                .links()
+                .iter()
+                .map(|link| match &link.kind {
+                    LinkKind::Pipe(pipe) => PipeCoeffs::hazen_williams(pipe),
+                    _ => PipeCoeffs::default(),
+                })
+                .collect(),
             sparse,
             link_slots,
             diag_slot,
-            dense: DenseSpd::zeros(0),
-            dense_scratch: DenseScratch::default(),
-            cg_scratch: CgScratch::default(),
-            x0: Vec::new(),
+            factor,
+            x: vec![0.0; n_junc],
             p_link: vec![0.0; n_links],
             s_link: vec![0.0; n_links],
             rhs: vec![0.0; n_junc],
@@ -201,6 +215,12 @@ impl SolverWorkspace {
     /// Number of junction rows in the linear system.
     pub fn junction_count(&self) -> usize {
         self.junctions.len()
+    }
+
+    /// The minimum-degree elimination order of the junction rows (entry
+    /// `k` is the row eliminated `k`-th), a pure function of the network.
+    pub fn ordering(&self) -> &[usize] {
+        self.factor.permutation()
     }
 
     /// The warm start that will seed the next solve, if any.
@@ -253,90 +273,40 @@ impl SolverWorkspace {
         }
     }
 
-    /// Assembles the normal matrix from `emitter_diag` + `p_link` and
-    /// solves it against `rhs`, scattering the junction heads back into
-    /// `heads`. Zero allocation after the first call on each backend path.
-    pub(crate) fn solve_linear_into_heads(
-        &mut self,
-        use_dense: bool,
-    ) -> Result<(), HydraulicError> {
-        let n_junc = self.junctions.len();
-        let solution: &[f64] = if use_dense {
-            if self.dense.dim() != n_junc {
-                self.dense = DenseSpd::zeros(n_junc);
-            } else {
-                self.dense.reset();
+    /// Assembles the normal matrix from `emitter_diag` + `p_link` through
+    /// the cached slot maps, refactors it and solves it against `rhs`,
+    /// scattering the junction heads back into `heads`. Allocation-free.
+    pub(crate) fn solve_linear_into_heads(&mut self) -> Result<(), HydraulicError> {
+        self.sparse.reset_values();
+        for (row, &d) in self.emitter_diag.iter().enumerate() {
+            if d != 0.0 {
+                self.sparse.add_at(self.diag_slot[row], d);
             }
-            for (row, &d) in self.emitter_diag.iter().enumerate() {
-                if d != 0.0 {
-                    self.dense.add_sym(row, row, d);
-                }
+        }
+        for (li, slots) in self.link_slots.iter().enumerate() {
+            let p = self.p_link[li];
+            if let Some(s) = slots.from_diag {
+                self.sparse.add_at(s, p);
             }
-            for (li, &(rf, rt)) in self.link_rows.iter().enumerate() {
-                let p = self.p_link[li];
-                if let Some(r) = rf {
-                    self.dense.add_sym(r, r, p);
-                }
-                if let Some(r) = rt {
-                    self.dense.add_sym(r, r, p);
-                }
-                if let (Some(a), Some(b)) = (rf, rt) {
-                    if a != b {
-                        self.dense.add_sym(a, b, -p);
-                    }
-                }
+            if let Some(s) = slots.to_diag {
+                self.sparse.add_at(s, p);
             }
-            if !self.dense.solve_into(&self.rhs, &mut self.dense_scratch) {
-                return Err(HydraulicError::LinearSolveFailed {
-                    detail: "normal matrix not positive definite (isolated junction?)",
-                });
+            if let Some((ab, ba)) = slots.off {
+                self.sparse.add_at(ab, -p);
+                self.sparse.add_at(ba, -p);
             }
-            &self.dense_scratch.x
-        } else {
-            self.sparse.reset_values();
-            for (row, &d) in self.emitter_diag.iter().enumerate() {
-                if d != 0.0 {
-                    self.sparse.add_at(self.diag_slot[row], d);
-                }
-            }
-            for (li, slots) in self.link_slots.iter().enumerate() {
-                let p = self.p_link[li];
-                if let Some(s) = slots.from_diag {
-                    self.sparse.add_at(s, p);
-                }
-                if let Some(s) = slots.to_diag {
-                    self.sparse.add_at(s, p);
-                }
-                if let Some((ab, ba)) = slots.off {
-                    self.sparse.add_at(ab, -p);
-                    self.sparse.add_at(ba, -p);
-                }
-            }
-            // Warm-start CG from the current junction heads — after the
-            // first Newton iteration (or under a scenario warm start) they
-            // are already close to the solution.
-            self.x0.clear();
-            self.x0
-                .extend(self.junctions.iter().map(|&j| self.heads[j.index()]));
-            if !conjugate_gradient_into(
-                &self.sparse,
-                &self.rhs,
-                Some(&self.x0),
-                1e-12,
-                20 * n_junc.max(50),
-                &mut self.cg_scratch,
-            ) {
-                return Err(HydraulicError::LinearSolveFailed {
-                    detail: "normal matrix not positive definite (isolated junction?)",
-                });
-            }
-            &self.cg_scratch.x
-        };
-        if solution.iter().any(|h| !h.is_finite()) {
+        }
+        if !self.factor.factor(&self.sparse) {
+            return Err(HydraulicError::LinearSolveFailed {
+                detail: "normal matrix not positive definite (isolated junction?)",
+            });
+        }
+        self.factor.solve_into(&self.rhs, &mut self.x);
+        if self.x.iter().any(|h| !h.is_finite()) {
             return Err(HydraulicError::NumericalBlowup);
         }
         for (row, &j) in self.junctions.iter().enumerate() {
-            self.heads[j.index()] = solution[row];
+            self.heads[j.index()] = self.x[row];
         }
         Ok(())
     }
@@ -357,6 +327,20 @@ mod tests {
         for (row, &j) in ws.junctions.iter().enumerate() {
             assert_eq!(ws.row_of[j.index()], Some(row));
         }
+    }
+
+    #[test]
+    fn wssc_factor_is_analyzed_once_and_stays_sparse() {
+        let net = aqua_net::synth::wssc_subnet();
+        let ws = SolverWorkspace::new(&net);
+        assert_eq!(ws.junction_count(), 298);
+        // 317 strict-lower matrix entries plus minimum-degree fill, against
+        // 298·297/2 = 44,253 for a dense factor.
+        assert_eq!(ws.factor.factor_nnz(), 426);
+        assert_eq!(ws.ordering(), SolverWorkspace::new(&net).ordering());
+        let mut rows = ws.ordering().to_vec();
+        rows.sort_unstable();
+        assert!(rows.iter().copied().eq(0..298));
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! Property-based tests of the warm-started workspace solver: for
 //! arbitrary synth networks and leak scenarios, solving through a
-//! [`SolverWorkspace`] — cold, warm, or with either linear backend — must
-//! agree with the plain cold solver to within the convergence tolerance.
+//! [`SolverWorkspace`] — cold or warm — must agree with the plain cold
+//! solver to within the convergence tolerance. The sparse factorization
+//! itself is checked against the dense oracle in the root package's
+//! `tests/hydraulic_properties.rs`.
 
 use aqua_hydraulics::{
-    solve_snapshot, solve_snapshot_with, ExtendedPeriodSim, LeakEvent, LinearBackend, Scenario,
-    SolverOptions, SolverWorkspace, WarmStart,
+    solve_snapshot, solve_snapshot_with, ExtendedPeriodSim, LeakEvent, Scenario, SolverOptions,
+    SolverWorkspace, WarmStart,
 };
 use aqua_net::synth::GridNetworkBuilder;
 use aqua_net::Network;
@@ -83,27 +85,6 @@ proptest! {
         let warm2 = solve_snapshot_with(&net, &scenario, 0, &opts, &mut ws2).expect("seeded solve");
         for (a, b) in warm.heads.iter().zip(&warm2.heads) {
             prop_assert!((a - b).abs() < 1e-9);
-        }
-    }
-
-    /// Dense and sparse backends agree on arbitrary networks when both run
-    /// through cached workspaces (promotion of the old fixed-network unit
-    /// test in solver.rs).
-    #[test]
-    fn dense_and_sparse_backends_agree((net, seed) in arbitrary_grid(), ec in 0.002f64..0.02) {
-        let dense = SolverOptions { backend: LinearBackend::Dense, ..Default::default() };
-        let sparse = SolverOptions { backend: LinearBackend::SparseCg, ..Default::default() };
-        let scenario = leak_scenario(&net, seed, ec);
-        let mut ws_dense = SolverWorkspace::new(&net);
-        let mut ws_sparse = SolverWorkspace::new(&net);
-        // Two solves per backend so the second exercises the warm path of
-        // each workspace too.
-        for t in [0u64, 0u64] {
-            let a = solve_snapshot_with(&net, &scenario, t, &dense, &mut ws_dense).unwrap();
-            let b = solve_snapshot_with(&net, &scenario, t, &sparse, &mut ws_sparse).unwrap();
-            for (ha, hb) in a.heads.iter().zip(&b.heads) {
-                prop_assert!((ha - hb).abs() < 1e-3, "dense {} sparse {}", ha, hb);
-            }
         }
     }
 

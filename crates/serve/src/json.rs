@@ -3,6 +3,12 @@
 //! The workspace's vendored `serde` is a no-op marker shim, so the wire
 //! format is handled by hand: this module parses the small, flat payloads
 //! the ingest endpoint accepts and escapes strings on the way out.
+//! Nesting is bounded (64 levels), so no body can recurse the parser off a
+//! worker's stack.
+
+/// The deepest array/object nesting [`Json::parse`] accepts. The server's
+/// own payloads nest at most 4 deep.
+const MAX_DEPTH: usize = 64;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -22,11 +28,12 @@ pub enum Json {
 }
 
 impl Json {
-    /// Parses a complete JSON document (trailing garbage is an error).
+    /// Parses a complete JSON document (trailing garbage and nesting
+    /// deeper than 64 arrays/objects are errors).
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing bytes at offset {pos}"));
@@ -121,8 +128,12 @@ fn expect(bytes: &[u8], pos: &mut usize, token: &str) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses one value whose enclosing arrays and objects number `depth`.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
+    if depth == MAX_DEPTH && matches!(bytes.get(*pos), Some(b'[' | b'{')) {
+        return Err(format!("nesting deeper than {MAX_DEPTH} at offset {pos}"));
+    }
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
         Some(b'n') => expect(bytes, pos, "null").map(|()| Json::Null),
@@ -138,7 +149,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -166,7 +177,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                     return Err(format!("expected ':' at offset {pos}"));
                 }
                 *pos += 1;
-                members.push((key, parse_value(bytes, pos)?));
+                members.push((key, parse_value(bytes, pos, depth + 1)?));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -289,6 +300,25 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} must not parse");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |open: &str, leaf: &str, close: &str, times: usize| {
+            open.repeat(times) + leaf + &close.repeat(times)
+        };
+        for (open, leaf, close, per_level) in [
+            ("[", "", "]", 1),
+            ("{\"a\":", "1", "}", 1),
+            ("{\"a\":[", "", "]}", 2),
+        ] {
+            let levels = MAX_DEPTH / per_level;
+            assert!(Json::parse(&nested(open, leaf, close, levels)).is_ok());
+            assert!(Json::parse(&nested(open, leaf, close, levels + 1)).is_err());
+        }
+        // Far past any stack: rejected at the bound, not recursed into.
+        let err = Json::parse(&"[".repeat(200_000)).unwrap_err();
+        assert!(err.contains("nesting deeper than 64"), "{err}");
     }
 
     #[test]

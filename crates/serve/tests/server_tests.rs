@@ -89,6 +89,23 @@ fn bad_requests_get_4xx_not_hangs() {
     server.shutdown();
 }
 
+#[test]
+fn deeply_nested_json_gets_400_and_the_server_stays_up() {
+    let (server, registry, _hub) = start(ServeConfig::default());
+    let addr = server.local_addr();
+    registry.insert("epa", hosted_session());
+
+    // 200,000 open brackets: far under the body cap, far past a worker's
+    // stack if the parser recursed into every level.
+    let body = "[".repeat(200_000);
+    let resp = client::post_json(addr, "/v1/sessions/epa/ingest", &body).unwrap();
+    assert_eq!(resp.status, 400);
+    assert!(resp.body.contains("nesting deeper than"), "{}", resp.body);
+    assert_eq!(client::get(addr, "/healthz").unwrap().status, 200);
+
+    server.shutdown();
+}
+
 fn hosted_session() -> HostedSession {
     let net = synth::epa_net();
     let config = AquaScaleConfig {
