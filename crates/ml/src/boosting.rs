@@ -13,7 +13,7 @@ use rand::SeedableRng;
 
 use crate::binned::BinnedDataset;
 use crate::classifier::util::{check_fit, check_predict, sigmoid};
-use crate::classifier::Classifier;
+use crate::classifier::{Classifier, Prepared};
 use crate::dataset::holdout_indices;
 use crate::error::MlError;
 use crate::matrix::Matrix;
@@ -208,15 +208,8 @@ impl GradientBoosting {
         self.stages.clear();
         self.n_features = Some(x.cols());
 
-        let owned: BinnedDataset;
-        let binned: Option<&BinnedDataset> = match (self.config.split.bins(), shared) {
-            (None, _) => None,
-            (Some(_), Some(b)) => Some(b),
-            (Some(bins), None) => {
-                owned = BinnedDataset::build(x, bins);
-                Some(&owned)
-            }
-        };
+        let binned = self.config.split.binned_view(x, shared);
+        let binned = binned.as_deref();
 
         let mut rng = StdRng::seed_from_u64(self.seed);
         let tree_config = DecisionTreeConfig {
@@ -304,8 +297,8 @@ impl Classifier for GradientBoosting {
         self.fit_impl(x, y, None)
     }
 
-    fn fit_binned(&mut self, x: &Matrix, y: &[u8], binned: &BinnedDataset) -> Result<(), MlError> {
-        self.fit_impl(x, y, Some(binned))
+    fn fit_prepared(&mut self, x: &Matrix, y: &[u8], prep: &Prepared) -> Result<(), MlError> {
+        self.fit_impl(x, y, prep.binned())
     }
 
     fn predict_proba(&self, x: &Matrix) -> Result<Vec<f64>, MlError> {
@@ -520,10 +513,10 @@ mod tests {
     #[test]
     fn shared_binned_fit_matches_owned_binned_fit() {
         let (x, y) = banded_data(180);
-        let shared = BinnedDataset::build(&x, 256);
+        let shared = Prepared::Binned(BinnedDataset::build(&x, 256));
         let mut via_shared = GradientBoosting::with_config(GradientBoostingConfig::default(), 2);
         let mut via_owned = GradientBoosting::with_config(GradientBoostingConfig::default(), 2);
-        via_shared.fit_binned(&x, &y, &shared).unwrap();
+        via_shared.fit_prepared(&x, &y, &shared).unwrap();
         via_owned.fit(&x, &y).unwrap();
         assert_eq!(via_shared.stage_count(), via_owned.stage_count());
         assert_eq!(

@@ -1,13 +1,16 @@
 //! The plug-and-play classifier interface and model factory.
 
 use aqua_artifact::{ArtifactError, Codec, Reader, Writer};
+use aqua_telemetry::TelemetryCtx;
 
 use crate::binned::BinnedDataset;
 use crate::boosting::{GradientBoosting, GradientBoostingConfig};
 use crate::error::MlError;
 use crate::forest::{RandomForest, RandomForestConfig};
 use crate::hybrid::{HybridRsl, HybridRslConfig};
-use crate::linear::{LinearRegressionClassifier, LogisticRegression, LogisticRegressionConfig};
+use crate::linear::{
+    GramFactor, LinearRegressionClassifier, LogisticRegression, LogisticRegressionConfig,
+};
 use crate::matrix::Matrix;
 use crate::svm::{LinearSvm, LinearSvmConfig};
 use crate::tree::{DecisionTree, DecisionTreeConfig};
@@ -27,19 +30,18 @@ pub trait Classifier: Send + Sync {
     /// sets are legal: the model degenerates to a constant predictor.
     fn fit(&mut self, x: &Matrix, y: &[u8]) -> Result<(), MlError>;
 
-    /// Fits with a pre-built, shared [`BinnedDataset`] over the same `x`.
-    ///
-    /// Tree-based families use `binned` for histogram split finding when
-    /// their configuration asks for it, avoiding a per-output re-binning
-    /// pass inside [`crate::MultiOutputModel`]. The default implementation
-    /// ignores `binned` and delegates to [`fit`](Self::fit) — correct for
-    /// every family without histogram training.
+    /// Fits from `prep`, the label-independent state
+    /// [`ModelKind::prepare`] built over the same `x`, so that a bank of
+    /// per-output fits on one corpus pays for that state once (see
+    /// [`Prepared`]). Produces exactly the model [`fit`](Self::fit) would.
+    /// The default ignores `prep` and delegates to `fit`, which is right
+    /// for every family that has nothing to share.
     ///
     /// # Errors
     ///
     /// Same contract as [`fit`](Self::fit).
-    fn fit_binned(&mut self, x: &Matrix, y: &[u8], binned: &BinnedDataset) -> Result<(), MlError> {
-        let _ = binned;
+    fn fit_prepared(&mut self, x: &Matrix, y: &[u8], prep: &Prepared) -> Result<(), MlError> {
+        let _ = prep;
         self.fit(x, y)
     }
 
@@ -70,6 +72,31 @@ pub trait Classifier: Send + Sync {
     /// with the artifact wire codec. The inverse is
     /// [`ModelKind::decode_classifier`], which dispatches on the family.
     fn encode_state(&self, w: &mut Writer);
+}
+
+/// Label-independent training state over one feature matrix, built once
+/// per corpus by [`ModelKind::prepare`] and shared read-only by every
+/// per-output [`Classifier::fit_prepared`].
+#[derive(Debug, Clone)]
+#[non_exhaustive]
+pub enum Prepared {
+    /// Nothing to share: each output fits from the raw matrix.
+    Raw,
+    /// The histogram quantization of the matrix, for tree families that
+    /// split on histograms.
+    Binned(BinnedDataset),
+    /// LinearR's ridge Gram matrix, Cholesky-factored.
+    Gram(GramFactor),
+}
+
+impl Prepared {
+    /// The shared quantization, when this is [`Prepared::Binned`].
+    pub fn binned(&self) -> Option<&BinnedDataset> {
+        match self {
+            Prepared::Binned(b) => Some(b),
+            _ => None,
+        }
+    }
 }
 
 /// Factory for the model families the paper compares (Sec. IV-A / Fig. 6),
@@ -168,7 +195,7 @@ impl ModelKind {
     }
 
     /// The histogram bin budget this family would train with, or `None`
-    /// when it uses no histogram split finding. [`crate::MultiOutputModel`]
+    /// when it uses no histogram split finding. [`prepare`](Self::prepare)
     /// uses this to decide whether to build one shared [`BinnedDataset`]
     /// up front.
     pub fn histogram_bins(&self) -> Option<u16> {
@@ -178,6 +205,40 @@ impl ModelKind {
             ModelKind::DecisionTree { config } => config.split.bins(),
             ModelKind::HybridRsl { config } => config.forest.tree.split.bins(),
             _ => None,
+        }
+    }
+
+    /// Builds the label-independent state every output of this family
+    /// shares over `x`: the [`BinnedDataset`] for histogram families, the
+    /// factored ridge Gram matrix for LinearR, nothing for the rest.
+    ///
+    /// # Errors
+    ///
+    /// [`MlError::Diverged`] when LinearR's Gram matrix is not numerically
+    /// positive definite — the error every LinearR output's `fit` returns
+    /// on that `x`.
+    pub fn prepare(&self, x: &Matrix) -> Result<Prepared, MlError> {
+        self.prepare_traced(x, TelemetryCtx::none())
+    }
+
+    /// [`prepare`](Self::prepare) under an `ml.train.bin` (quantization) or
+    /// `ml.train.factor` (Gram build and factorization) span.
+    pub(crate) fn prepare_traced(
+        &self,
+        x: &Matrix,
+        tel: TelemetryCtx<'_>,
+    ) -> Result<Prepared, MlError> {
+        if let Some(bins) = self.histogram_bins() {
+            let _span = tel.span("ml.train.bin");
+            return Ok(Prepared::Binned(BinnedDataset::build(x, bins)));
+        }
+        match self {
+            ModelKind::LinearR => {
+                let _span = tel.span("ml.train.factor");
+                let ridge = LinearRegressionClassifier::default().effective_ridge();
+                Ok(Prepared::Gram(GramFactor::new(x, ridge)?))
+            }
+            _ => Ok(Prepared::Raw),
         }
     }
 

@@ -6,7 +6,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::binned::BinnedDataset;
 use crate::classifier::util::{balanced_indices, check_fit, check_predict};
-use crate::classifier::Classifier;
+use crate::classifier::{Classifier, Prepared};
 use crate::error::MlError;
 use crate::matrix::Matrix;
 use crate::tree::{Criterion, DecisionTreeConfig, GrownTree, SplitStrategy};
@@ -97,15 +97,8 @@ impl RandomForest {
             tree_config.max_features = Some(sqrt_features);
         }
 
-        let owned: BinnedDataset;
-        let binned: Option<&BinnedDataset> = match (tree_config.split.bins(), shared) {
-            (None, _) => None,
-            (Some(_), Some(b)) => Some(b),
-            (Some(bins), None) => {
-                owned = BinnedDataset::build(x, bins);
-                Some(&owned)
-            }
-        };
+        let binned = tree_config.split.binned_view(x, shared);
+        let binned = binned.as_deref();
 
         self.trees = (0..self.config.n_trees)
             .map(|t| {
@@ -146,8 +139,8 @@ impl Classifier for RandomForest {
         self.fit_impl(x, y, None)
     }
 
-    fn fit_binned(&mut self, x: &Matrix, y: &[u8], binned: &BinnedDataset) -> Result<(), MlError> {
-        self.fit_impl(x, y, Some(binned))
+    fn fit_prepared(&mut self, x: &Matrix, y: &[u8], prep: &Prepared) -> Result<(), MlError> {
+        self.fit_impl(x, y, prep.binned())
     }
 
     fn predict_proba(&self, x: &Matrix) -> Result<Vec<f64>, MlError> {

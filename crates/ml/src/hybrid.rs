@@ -9,8 +9,7 @@
 
 use aqua_artifact::{ArtifactError, Codec, Reader, Writer};
 
-use crate::binned::BinnedDataset;
-use crate::classifier::Classifier;
+use crate::classifier::{Classifier, Prepared};
 use crate::error::MlError;
 use crate::forest::{RandomForest, RandomForestConfig};
 use crate::linear::{LogisticRegression, LogisticRegressionConfig};
@@ -76,18 +75,13 @@ impl Default for HybridRsl {
 
 impl Classifier for HybridRsl {
     fn fit(&mut self, x: &Matrix, y: &[u8]) -> Result<(), MlError> {
-        self.forest.fit(x, y)?;
-        self.svm.fit(x, y)?;
-        let meta = self.meta_features(x)?;
-        self.fusion.fit(&meta, y)?;
-        self.fitted = true;
-        Ok(())
+        self.fit_prepared(x, y, &Prepared::Raw)
     }
 
-    fn fit_binned(&mut self, x: &Matrix, y: &[u8], binned: &BinnedDataset) -> Result<(), MlError> {
+    fn fit_prepared(&mut self, x: &Matrix, y: &[u8], prep: &Prepared) -> Result<(), MlError> {
         // Only the forest base learner grows trees; SVM and the fusion
         // layer train on raw features / meta-probabilities.
-        self.forest.fit_binned(x, y, binned)?;
+        self.forest.fit_prepared(x, y, prep)?;
         self.svm.fit(x, y)?;
         let meta = self.meta_features(x)?;
         self.fusion.fit(&meta, y)?;

@@ -47,12 +47,14 @@ pub mod work;
 
 pub use binned::{BinnedDataset, MAX_BINS};
 pub use boosting::{EarlyStopping, GradientBoosting, GradientBoostingConfig};
-pub use classifier::{Classifier, ModelKind};
+pub use classifier::{Classifier, ModelKind, Prepared};
 pub use dataset::{holdout_indices, train_test_split, Scaler};
 pub use error::MlError;
 pub use forest::{RandomForest, RandomForestConfig};
 pub use hybrid::{HybridRsl, HybridRslConfig};
-pub use linear::{LinearRegressionClassifier, LogisticRegression, LogisticRegressionConfig};
+pub use linear::{
+    GramFactor, LinearRegressionClassifier, LogisticRegression, LogisticRegressionConfig,
+};
 pub use matrix::Matrix;
 pub use multioutput::MultiOutputModel;
 pub use svm::{LinearSvm, LinearSvmConfig};

@@ -3,8 +3,8 @@
 use aqua_artifact::{ArtifactError, Codec, Reader, Writer};
 
 use crate::classifier::util::{check_fit, check_predict, sigmoid};
-use crate::classifier::Classifier;
-use crate::dense::solve_spd;
+use crate::classifier::{Classifier, Prepared};
+use crate::dense::Cholesky;
 use crate::error::MlError;
 use crate::matrix::Matrix;
 
@@ -26,6 +26,16 @@ impl LinearRegressionClassifier {
         }
     }
 
+    /// The ridge actually applied: `ridge`, or 1e-6 when it is not
+    /// positive.
+    pub(crate) fn effective_ridge(&self) -> f64 {
+        if self.ridge > 0.0 {
+            self.ridge
+        } else {
+            1e-6
+        }
+    }
+
     fn score(&self, row: &[f64], w: &[f64]) -> f64 {
         let mut s = w[row.len()];
         for (xi, wi) in row.iter().zip(w) {
@@ -33,37 +43,45 @@ impl LinearRegressionClassifier {
         }
         s
     }
+
+    /// Solves the normal equations `gram · w = Xᵀy` for one label vector:
+    /// one `Xᵀy` pass and two triangular solves.
+    fn fit_factored(&mut self, x: &Matrix, y: &[u8], gram: &GramFactor) {
+        let cols = x.cols();
+        let mut xty = vec![0.0f64; cols + 1];
+        for (row, &yi) in x.iter_rows().zip(y) {
+            let yi = yi as f64;
+            for (t, &xa) in xty.iter_mut().zip(row) {
+                *t += xa * yi;
+            }
+            xty[cols] += yi; // the intercept column is 1
+        }
+        self.weights = Some(gram.chol.solve(&xty));
+    }
 }
 
 impl Classifier for LinearRegressionClassifier {
     fn fit(&mut self, x: &Matrix, y: &[u8]) -> Result<(), MlError> {
         check_fit(x, y)?;
-        let d = x.cols() + 1; // + intercept
-        let ridge = if self.ridge > 0.0 { self.ridge } else { 1e-6 };
-        // Normal equations (XᵀX + λI) w = Xᵀy with an appended 1-column.
-        let mut xtx = vec![0.0f64; d * d];
-        let mut xty = vec![0.0f64; d];
-        for (row, &yi) in x.iter_rows().zip(y) {
-            let yi = yi as f64;
-            for a in 0..d {
-                let xa = if a < x.cols() { row[a] } else { 1.0 };
-                xty[a] += xa * yi;
-                for b in a..d {
-                    let xb = if b < x.cols() { row[b] } else { 1.0 };
-                    xtx[a * d + b] += xa * xb;
-                }
-            }
-        }
-        // Mirror and regularize.
-        for a in 0..d {
-            for b in 0..a {
-                xtx[a * d + b] = xtx[b * d + a];
-            }
-            xtx[a * d + a] += ridge;
-        }
-        let w = solve_spd(&xtx, d, &xty).ok_or(MlError::Diverged)?;
-        self.weights = Some(w);
+        let gram = GramFactor::new(x, self.effective_ridge())?;
+        self.fit_factored(x, y, &gram);
         Ok(())
+    }
+
+    /// Reuses a [`Prepared::Gram`] factor made with this classifier's
+    /// ridge over a matrix of `x`'s width; otherwise fits from scratch.
+    fn fit_prepared(&mut self, x: &Matrix, y: &[u8], prep: &Prepared) -> Result<(), MlError> {
+        match prep {
+            Prepared::Gram(gram)
+                if gram.chol.order() == x.cols() + 1
+                    && gram.ridge.to_bits() == self.effective_ridge().to_bits() =>
+            {
+                check_fit(x, y)?;
+                self.fit_factored(x, y, gram);
+                Ok(())
+            }
+            _ => self.fit(x, y),
+        }
     }
 
     fn predict_proba(&self, x: &Matrix) -> Result<Vec<f64>, MlError> {
@@ -76,6 +94,52 @@ impl Classifier for LinearRegressionClassifier {
 
     fn encode_state(&self, w: &mut Writer) {
         Codec::encode(self, w);
+    }
+}
+
+/// The label-independent half of LinearR's normal equations: the Cholesky
+/// factor of the ridge Gram matrix `[X 1]ᵀ[X 1] + λI` (the appended column
+/// is the intercept). [`ModelKind::prepare`](crate::ModelKind::prepare)
+/// builds it once per corpus; each output then costs one `Xᵀy` pass and
+/// two triangular solves instead of an `O(n·d²)` Gram build and an `O(d³)`
+/// factorization.
+#[derive(Debug, Clone)]
+pub struct GramFactor {
+    ridge: f64,
+    chol: Cholesky,
+}
+
+impl GramFactor {
+    /// Builds and factors the ridge Gram matrix of `x`.
+    ///
+    /// # Errors
+    ///
+    /// [`MlError::Diverged`] when the Gram matrix is not numerically
+    /// positive definite (non-finite features, or a pivot rounded to ≤ 0).
+    pub(crate) fn new(x: &Matrix, ridge: f64) -> Result<GramFactor, MlError> {
+        let cols = x.cols();
+        let d = cols + 1;
+        // Upper triangle, accumulated row by row.
+        let mut xtx = vec![0.0f64; d * d];
+        for row in x.iter_rows() {
+            for (a, &xa) in row.iter().enumerate() {
+                let upper = &mut xtx[a * d + a..a * d + cols];
+                for (g, &xb) in upper.iter_mut().zip(&row[a..]) {
+                    *g += xa * xb;
+                }
+                xtx[a * d + cols] += xa; // × the intercept column's 1
+            }
+            xtx[cols * d + cols] += 1.0;
+        }
+        // Mirror and regularize.
+        for a in 0..d {
+            for b in 0..a {
+                xtx[a * d + b] = xtx[b * d + a];
+            }
+            xtx[a * d + a] += ridge;
+        }
+        let chol = Cholesky::factor(&xtx, d).ok_or(MlError::Diverged)?;
+        Ok(GramFactor { ridge, chol })
     }
 }
 
@@ -187,7 +251,7 @@ impl Classifier for LogisticRegression {
                 h[a * d + a] += self.config.l2;
                 g[a] -= self.config.l2 * w[a];
             }
-            let delta = solve_spd(&h, d, &g).ok_or(MlError::Diverged)?;
+            let delta = Cholesky::factor(&h, d).ok_or(MlError::Diverged)?.solve(&g);
             let step: f64 = delta.iter().map(|v| v * v).sum::<f64>().sqrt();
             if !step.is_finite() {
                 return Err(MlError::Diverged);

@@ -10,16 +10,16 @@
 //! discipline `DatasetBuilder` uses, tested at {1, 2, 8} threads in
 //! `crates/ml/tests/determinism.rs`).
 //!
-//! When the model family trains on histograms (see
-//! [`SplitStrategy`](crate::SplitStrategy)), the feature matrix is
-//! quantized **once** into a shared read-only [`BinnedDataset`] under the
-//! `ml.train.bin` span, instead of once per output.
+//! Whatever the outputs share is built **once** per corpus by
+//! [`ModelKind::prepare`] and read by every per-output fit: the
+//! [`BinnedDataset`](crate::BinnedDataset) of histogram families (span
+//! `ml.train.bin`) or LinearR's factored ridge Gram matrix (span
+//! `ml.train.factor`).
 
 use aqua_artifact::{ArtifactError, Codec, Reader, Writer};
 use aqua_telemetry::{TelemetryCtx, Value};
 use crossbeam::thread;
 
-use crate::binned::BinnedDataset;
 use crate::classifier::{Classifier, ModelKind};
 use crate::error::MlError;
 use crate::matrix::Matrix;
@@ -50,7 +50,8 @@ impl MultiOutputModel {
     ///
     /// # Errors
     ///
-    /// Propagates the first per-output fit error.
+    /// The error of [`ModelKind::prepare`] on `x`, else the first
+    /// per-output fit error.
     pub fn fit(
         kind: ModelKind,
         x: &Matrix,
@@ -69,7 +70,7 @@ impl MultiOutputModel {
     ///
     /// # Errors
     ///
-    /// Propagates the first per-output fit error.
+    /// Same as [`fit`](Self::fit).
     pub fn fit_traced(
         kind: ModelKind,
         x: &Matrix,
@@ -94,16 +95,9 @@ impl MultiOutputModel {
         let threads = threads.max(1).min(labels.len());
         let n_out = labels.len();
 
-        // One shared read-only binned view when the family's trees train
-        // on histograms — the quantization pass is paid once per corpus,
-        // not once per output.
-        let binned: Option<BinnedDataset> = kind.histogram_bins().map(|bins| {
-            let bin_span = tel.span("ml.train.bin");
-            let b = BinnedDataset::build(x, bins);
-            drop(bin_span);
-            b
-        });
-        let binned = binned.as_ref();
+        // The label-independent state is paid for once per corpus, not
+        // once per output.
+        let prep = kind.prepare_traced(x, tel)?;
 
         let mut results: Vec<Option<Result<Box<dyn Classifier>, MlError>>> =
             (0..n_out).map(|_| None).collect();
@@ -116,11 +110,7 @@ impl MultiOutputModel {
         let fit_one = |v: usize, durs: &mut Vec<f64>| -> Result<Box<dyn Classifier>, MlError> {
             let t0 = tel.now_ns();
             let mut model = kind.build(seed.wrapping_add(v as u64));
-            let fitted = match binned {
-                Some(b) => model.fit_binned(x, &labels[v], b),
-                None => model.fit(x, &labels[v]),
-            }
-            .map(|()| model);
+            let fitted = model.fit_prepared(x, &labels[v], &prep).map(|()| model);
             if let (Some(t0), Some(t1)) = (t0, tel.now_ns()) {
                 durs.push(t1.saturating_sub(t0) as f64 / 1e9);
             }
@@ -343,6 +333,22 @@ mod tests {
         assert!(rounds > 0);
         assert_eq!(snap.counter("ml.train.boosting_rounds"), rounds);
         assert_eq!(hub.span_tree()[0].name, "ml.train");
+    }
+
+    #[test]
+    fn each_family_prepares_once_under_its_own_span() {
+        let (x, labels) = data(60);
+        for (kind, spans) in [
+            (ModelKind::linear_r(), vec!["ml.train.factor"]),
+            (ModelKind::random_forest(), vec!["ml.train.bin"]),
+            (ModelKind::logistic_r(), vec![]),
+        ] {
+            let hub = aqua_telemetry::TelemetryHub::new();
+            MultiOutputModel::fit_traced(kind, &x, &labels, 3, 2, hub.ctx()).unwrap();
+            let tree = hub.span_tree();
+            let children: Vec<&str> = tree[0].children.iter().map(|s| s.name.as_str()).collect();
+            assert_eq!(children, spans);
+        }
     }
 
     #[test]

@@ -95,34 +95,46 @@ impl Classifier for LinearSvm {
         let mut rng = StdRng::seed_from_u64(self.seed);
         let mut w = vec![0.0f64; d];
         let lambda = self.config.lambda;
+        let epochs = self.config.epochs;
         // Warm-started step size 1/(λ(t + t₀)) avoids the enormous first
         // steps of textbook Pegasos (η₁ = 1/λ) that stall the bias term.
         let t0 = 1.0 / lambda;
         let mut t = 0u64;
-        let mut order: Vec<usize> = (0..n).collect();
-        for _ in 0..self.config.epochs {
-            // Fisher–Yates shuffle per epoch.
-            for i in (1..n).rev() {
+        // Fisher–Yates shuffle per epoch; the RNG feeds nothing else.
+        let shuffle = |order: &mut [usize], rng: &mut StdRng| {
+            for i in (1..order.len()).rev() {
                 order.swap(i, rng.random_range(0..=i));
             }
-            for &i in &order {
+        };
+        let mut order: Vec<usize> = (0..n).collect();
+        if epochs > 0 {
+            shuffle(&mut order, &mut rng);
+        }
+        // Each step makes one pass over `w`: shrink, hinge update, and the
+        // next sample's margin from the updated weights, so it is always
+        // known one step ahead. An epoch's successor order is therefore
+        // shuffled before its last step.
+        let mut margin = self.margin(x.row(order[0]), &w);
+        let (weights, bias) = w.split_at_mut(d - 1);
+        let bias = &mut bias[0];
+        for epoch in 0..epochs {
+            for pos in 0..n {
+                let i = order[pos];
+                let next = if pos + 1 < n {
+                    order[pos + 1]
+                } else {
+                    if epoch + 1 < epochs {
+                        shuffle(&mut order, &mut rng);
+                    }
+                    order[0]
+                };
                 t += 1;
                 let eta = 1.0 / (lambda * (t as f64 + t0));
-                let row = x.row(i);
                 let yi = if y[i] == 1 { 1.0 } else { -1.0 };
                 let sw = if y[i] == 1 { pos_weight } else { 1.0 };
-                let m = self.margin(row, &w) * yi;
-                // Regularization shrink (not applied to the bias).
-                for wi in w.iter_mut().take(d - 1) {
-                    *wi *= 1.0 - eta * lambda;
-                }
-                if m < 1.0 {
-                    let step = eta * yi * sw;
-                    for (wi, xi) in w.iter_mut().zip(row) {
-                        *wi += step * xi;
-                    }
-                    w[d - 1] += step;
-                }
+                let step = (margin * yi < 1.0).then_some(eta * yi * sw);
+                let shrink = 1.0 - eta * lambda;
+                margin = pegasos_step(weights, bias, x.row(i), shrink, step, x.row(next));
             }
         }
         if w.iter().any(|v| !v.is_finite()) {
@@ -131,7 +143,8 @@ impl Classifier for LinearSvm {
 
         // Platt scaling on training margins: fit σ(a·m + b) to labels by
         // gradient descent on the log loss.
-        let margins: Vec<f64> = x.iter_rows().map(|row| self.margin(row, &w)).collect();
+        // Rows by index: `iter_rows` cannot walk a matrix without columns.
+        let margins: Vec<f64> = (0..n).map(|i| self.margin(x.row(i), &w)).collect();
         let (mut a, mut b) = (1.0f64, 0.0f64);
         let lr = 0.05;
         for _ in 0..self.config.platt_iterations {
@@ -174,6 +187,41 @@ impl Classifier for LinearSvm {
     fn encode_state(&self, w: &mut Writer) {
         Codec::encode(self, w);
     }
+}
+
+/// One Pegasos step for sample `row`: the regularization shrink of the
+/// feature weights, then on a hinge violation (`step` is `Some`) the update
+/// `[weights bias] += step·[row 1]`. Returns the margin of `next` under the
+/// updated weights, summed from the bias in feature order like
+/// [`LinearSvm::margin`], so each weight is read and written once per step.
+fn pegasos_step(
+    weights: &mut [f64],
+    bias: &mut f64,
+    row: &[f64],
+    shrink: f64,
+    step: Option<f64>,
+    next: &[f64],
+) -> f64 {
+    if let Some(step) = step {
+        *bias += step;
+    }
+    let mut margin = *bias;
+    match step {
+        Some(step) => {
+            for ((wk, &xk), &nk) in weights.iter_mut().zip(row).zip(next) {
+                *wk *= shrink;
+                *wk += step * xk;
+                margin += nk * *wk;
+            }
+        }
+        None => {
+            for (wk, &nk) in weights.iter_mut().zip(next) {
+                *wk *= shrink;
+                margin += nk * *wk;
+            }
+        }
+    }
+    margin
 }
 
 impl Codec for LinearSvmConfig {
@@ -298,6 +346,98 @@ mod tests {
         svm.fit(&x, &labels).unwrap();
         let pred = svm.predict(&Matrix::from_rows(&[&[1.5]])).unwrap();
         assert_eq!(pred, vec![1]);
+    }
+
+    /// Pegasos as three passes per step: margin, shrink, hinge update.
+    fn reference_pegasos(config: &LinearSvmConfig, seed: u64, x: &Matrix, y: &[u8]) -> Vec<f64> {
+        let n = x.rows();
+        let d = x.cols() + 1;
+        let n_pos = y.iter().filter(|&&v| v == 1).count();
+        let pos_weight = if config.balance_classes && n_pos > 0 && n_pos < n {
+            ((n - n_pos) as f64 / n_pos as f64).min(50.0)
+        } else {
+            1.0
+        };
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut w = vec![0.0f64; d];
+        let lambda = config.lambda;
+        let t0 = 1.0 / lambda;
+        let mut t = 0u64;
+        let mut order: Vec<usize> = (0..n).collect();
+        for _ in 0..config.epochs {
+            for i in (1..n).rev() {
+                order.swap(i, rng.random_range(0..=i));
+            }
+            for &i in &order {
+                t += 1;
+                let eta = 1.0 / (lambda * (t as f64 + t0));
+                let row = x.row(i);
+                let yi = if y[i] == 1 { 1.0 } else { -1.0 };
+                let sw = if y[i] == 1 { pos_weight } else { 1.0 };
+                let mut m = w[d - 1];
+                for (xi, wi) in row.iter().zip(&w) {
+                    m += xi * wi;
+                }
+                for wi in w.iter_mut().take(d - 1) {
+                    *wi *= 1.0 - eta * lambda;
+                }
+                if m * yi < 1.0 {
+                    let step = eta * yi * sw;
+                    for (wi, xi) in w.iter_mut().zip(row) {
+                        *wi += step * xi;
+                    }
+                    w[d - 1] += step;
+                }
+            }
+        }
+        w
+    }
+
+    #[test]
+    fn fused_steps_match_three_pass_pegasos_bitwise() {
+        let (blob_x, blob_y) = blobs(60);
+        let mut imbalanced = vec![0u8; 60];
+        imbalanced[7] = 1;
+        imbalanced[41] = 1;
+        let one = Matrix::from_rows(&[&[0.7, -1.3]]);
+        let mut featureless = Matrix::with_cols(0);
+        for _ in 0..5 {
+            featureless.push_row(&[]);
+        }
+        let few_epochs = LinearSvmConfig {
+            epochs: 3,
+            ..LinearSvmConfig::default()
+        };
+        let no_epochs = LinearSvmConfig {
+            epochs: 0,
+            ..LinearSvmConfig::default()
+        };
+        let cases: [(&str, &Matrix, &[u8], &LinearSvmConfig); 7] = [
+            ("blobs", &blob_x, &blob_y, &LinearSvmConfig::default()),
+            (
+                "imbalanced",
+                &blob_x,
+                &imbalanced,
+                &LinearSvmConfig::default(),
+            ),
+            ("n = 1, positive", &one, &[1], &few_epochs),
+            ("n = 1, negative", &one, &[0], &LinearSvmConfig::default()),
+            ("zero features", &featureless, &[0, 1, 1, 0, 1], &few_epochs),
+            ("three epochs", &blob_x, &blob_y, &few_epochs),
+            ("no epochs", &blob_x, &blob_y, &no_epochs),
+        ];
+        for (name, x, y, config) in cases {
+            for seed in [0, 9] {
+                let mut svm = LinearSvm::with_config(config.clone(), seed);
+                svm.fit(x, y).unwrap();
+                let fused: Vec<u64> = svm.weights.unwrap().iter().map(|v| v.to_bits()).collect();
+                let reference: Vec<u64> = reference_pegasos(config, seed, x, y)
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect();
+                assert_eq!(fused, reference, "{name}, seed {seed}");
+            }
+        }
     }
 
     #[test]

@@ -8,13 +8,15 @@
 //! LightGBM-style histogram split finding over a shared
 //! [`BinnedDataset`].
 
+use std::borrow::Cow;
+
 use aqua_artifact::{ArtifactError, Codec, Reader, Writer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::binned::BinnedDataset;
 use crate::classifier::util::{balanced_indices, check_fit, check_predict};
-use crate::classifier::Classifier;
+use crate::classifier::{Classifier, Prepared};
 use crate::error::MlError;
 use crate::matrix::Matrix;
 
@@ -48,6 +50,21 @@ impl SplitStrategy {
             SplitStrategy::Exact => None,
             SplitStrategy::Histogram { max_bins } => Some(*max_bins),
         }
+    }
+
+    /// The binned view of `x` a fit with this strategy grows on: none for
+    /// the exact scan; otherwise `shared`, the corpus's one quantization,
+    /// or a fresh one when no shared view is given.
+    pub(crate) fn binned_view<'a>(
+        &self,
+        x: &Matrix,
+        shared: Option<&'a BinnedDataset>,
+    ) -> Option<Cow<'a, BinnedDataset>> {
+        let bins = self.bins()?;
+        Some(match shared {
+            Some(b) => Cow::Borrowed(b),
+            None => Cow::Owned(BinnedDataset::build(x, bins)),
+        })
     }
 }
 
@@ -147,8 +164,13 @@ pub(crate) struct GrownTree {
 /// statistics, reused across nodes and features to avoid per-node
 /// allocation.
 struct HistScratch {
-    /// Per bin: (count, sum, sum of squares).
-    bins: Vec<(u32, f64, f64)>,
+    /// `Mse`, per bin: (count, Σy, Σy²), cleared before each feature.
+    moments: Vec<(u32, f64, f64)>,
+    /// `Gini`: the 0/1 targets as integers.
+    labels: Vec<u8>,
+    /// `Gini`, per bin: (count, positives). All zero between features: the
+    /// scan that reads a cell zeroes it.
+    counts: [(u32, u32); 256],
 }
 
 /// Samples `k` distinct features via partial Fisher–Yates; both split
@@ -232,8 +254,20 @@ impl GrownTree {
             nodes: Vec::new(),
             n_features: binned.features(),
         };
+        let gini = criterion == Criterion::Gini;
         let mut scratch = HistScratch {
-            bins: vec![(0, 0.0, 0.0); binned.widest()],
+            moments: if gini {
+                Vec::new()
+            } else {
+                vec![(0, 0.0, 0.0); binned.widest()]
+            },
+            // Gini targets are labels (`y as f64`), so the cast is exact.
+            labels: if gini {
+                targets.iter().map(|&t| t as u8).collect()
+            } else {
+                Vec::new()
+            },
+            counts: [(0, 0); 256],
         };
         let root_indices: Vec<usize> = indices.to_vec();
         tree.grow_node_binned(
@@ -454,6 +488,11 @@ impl GrownTree {
     /// per-bin statistics in one pass over the node's samples, then scan
     /// bin boundaries. Returns the winning `(feature, bin)`; the split
     /// threshold is `binned.threshold(feature, bin)`.
+    ///
+    /// `Gini` counts `(samples, positives)` per bin in integers and visits
+    /// only the bins the node populates; the counts convert to exactly the
+    /// `f64` label sums the `(count, Σy, Σy²)` path adds up, so both score
+    /// every candidate identically.
     #[allow(clippy::too_many_arguments)]
     fn best_split_binned(
         &self,
@@ -475,14 +514,66 @@ impl GrownTree {
         let parent_score = impurity(targets, indices, criterion);
         let n = indices.len() as f64;
         let mut best: Option<(usize, usize, f64)> = None; // feature, bin, gain
+        let mut offer = |f: usize, b: usize, child: f64| {
+            let gain = (parent_score - child).max(0.0);
+            if best.map(|(_, _, g)| gain > g).unwrap_or(true) {
+                best = Some((f, b, gain));
+            }
+        };
+        let HistScratch {
+            moments,
+            labels,
+            counts,
+        } = scratch;
+        // The node's positives, the same for every feature.
+        let positives: u32 = match criterion {
+            Criterion::Gini => indices.iter().map(|&i| u32::from(labels[i])).sum(),
+            Criterion::Mse => 0,
+        };
         for &f in &features {
             let nbins = binned.bins(f);
             if nbins < 2 {
                 continue; // constant feature: no boundary to place
             }
-            let hist = &mut scratch.bins[..nbins];
-            hist.fill((0, 0.0, 0.0));
             let codes = binned.feature_codes(f);
+            if criterion == Criterion::Gini {
+                let mut occupied = [0u64; 4];
+                for &i in indices {
+                    let c = codes[i];
+                    let cell = &mut counts[c as usize];
+                    cell.0 += 1;
+                    cell.1 += u32::from(labels[i]);
+                    occupied[usize::from(c >> 6)] |= 1 << (c & 63);
+                }
+                // Populated bins in ascending order. The last one holds
+                // the node's remaining samples and is no boundary.
+                let (mut cnt_left, mut pos_left) = (0u32, 0u32);
+                for (word, mut bits) in occupied.into_iter().enumerate() {
+                    while bits != 0 {
+                        let b = word * 64 + bits.trailing_zeros() as usize;
+                        bits &= bits - 1;
+                        let (c, p) = std::mem::take(&mut counts[b]);
+                        cnt_left += c;
+                        pos_left += p;
+                        if cnt_left as usize >= indices.len() {
+                            continue;
+                        }
+                        let child = child_score(
+                            criterion,
+                            n,
+                            f64::from(cnt_left),
+                            f64::from(pos_left),
+                            0.0,
+                            f64::from(positives),
+                            0.0,
+                        );
+                        offer(f, b, child);
+                    }
+                }
+                continue;
+            }
+            let hist = &mut moments[..nbins];
+            hist.fill((0, 0.0, 0.0));
             let mut total_sum = 0.0f64;
             let mut total_sumsq = 0.0f64;
             for &i in indices {
@@ -517,10 +608,7 @@ impl GrownTree {
                     total_sum,
                     total_sumsq,
                 );
-                let gain = (parent_score - child).max(0.0);
-                if best.map(|(_, _, g)| gain > g).unwrap_or(true) {
-                    best = Some((f, b, gain));
-                }
+                offer(f, b, child);
             }
         }
         best.map(|(f, b, _)| (f, b))
@@ -687,15 +775,16 @@ impl DecisionTree {
         }
     }
 
-    /// Shared fit body: grows on the exact path, or on the histogram path
-    /// when a pre-built [`BinnedDataset`] is supplied.
-    fn fit_with_bins(
+    /// Shared fit body; `shared` is an optional pre-built binned view of
+    /// `x`.
+    fn fit_impl(
         &mut self,
         x: &Matrix,
         y: &[u8],
-        binned: Option<&BinnedDataset>,
+        shared: Option<&BinnedDataset>,
     ) -> Result<(), MlError> {
         check_fit(x, y)?;
+        let binned = self.config.split.binned_view(x, shared);
         let targets: Vec<f64> = y.iter().map(|&v| v as f64).collect();
         let mut rng = StdRng::seed_from_u64(self.seed);
         let indices = if self.config.balance_classes {
@@ -703,7 +792,7 @@ impl DecisionTree {
         } else {
             (0..y.len()).collect()
         };
-        self.tree = Some(match binned {
+        self.tree = Some(match binned.as_deref() {
             Some(b) => GrownTree::grow_binned(
                 b,
                 &targets,
@@ -733,20 +822,11 @@ impl Default for DecisionTree {
 
 impl Classifier for DecisionTree {
     fn fit(&mut self, x: &Matrix, y: &[u8]) -> Result<(), MlError> {
-        match self.config.split.bins() {
-            None => self.fit_with_bins(x, y, None),
-            Some(bins) => {
-                let binned = BinnedDataset::build(x, bins);
-                self.fit_with_bins(x, y, Some(&binned))
-            }
-        }
+        self.fit_impl(x, y, None)
     }
 
-    fn fit_binned(&mut self, x: &Matrix, y: &[u8], binned: &BinnedDataset) -> Result<(), MlError> {
-        match self.config.split {
-            SplitStrategy::Exact => self.fit_with_bins(x, y, None),
-            SplitStrategy::Histogram { .. } => self.fit_with_bins(x, y, Some(binned)),
-        }
+    fn fit_prepared(&mut self, x: &Matrix, y: &[u8], prep: &Prepared) -> Result<(), MlError> {
+        self.fit_impl(x, y, prep.binned())
     }
 
     fn predict_proba(&self, x: &Matrix) -> Result<Vec<f64>, MlError> {

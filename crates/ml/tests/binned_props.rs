@@ -13,7 +13,7 @@
 use aqua_ml::metrics::accuracy;
 use aqua_ml::{
     Classifier, DecisionTree, DecisionTreeConfig, EarlyStopping, GradientBoosting,
-    GradientBoostingConfig, Matrix, SplitStrategy,
+    GradientBoostingConfig, Matrix, RandomForest, RandomForestConfig, SplitStrategy,
 };
 use proptest::prelude::*;
 
@@ -63,6 +63,15 @@ proptest! {
 
     /// On few-distinct-value corpora the histogram tree IS the exact tree:
     /// identical probability surfaces over the training set.
+    ///
+    /// The random forest input grows bagged trees (repeated samples, √d
+    /// features) on the same two paths, over the corpus cut to two levels
+    /// per feature. A bagged node may lack values its neighbours in the
+    /// corpus have; it then splits the same samples on both paths, but at
+    /// a different threshold (the exact scan's midpoint between values it
+    /// holds, the histogram's bin edge), and out-of-bag rows can fall
+    /// between the two. With two levels both thresholds are the one
+    /// midpoint.
     #[test]
     fn histogram_tree_equals_exact_oracle_on_gridded_data(corpus in gridded_corpus()) {
         let (x, y) = split_gridded(corpus);
@@ -74,6 +83,32 @@ proptest! {
         let pb = binned.predict_proba(&x).unwrap();
         for (i, (a, b)) in pe.iter().zip(&pb).enumerate() {
             prop_assert_eq!(a.to_bits(), b.to_bits(), "sample {} diverged: {} vs {}", i, a, b);
+        }
+
+        let two_level = Matrix::from_vec_rows(
+            x.iter_rows()
+                .map(|row| row.iter().map(|&v| f64::from(u8::from(v >= 2.0))).collect())
+                .collect(),
+        );
+        let forest = |split| {
+            let base = RandomForestConfig::default();
+            let config = RandomForestConfig {
+                n_trees: 5,
+                tree: DecisionTreeConfig { split, ..base.tree.clone() },
+                ..base
+            };
+            RandomForest::with_config(config, 3)
+        };
+        let mut exact = forest(SplitStrategy::Exact);
+        let mut binned = forest(SplitStrategy::histogram());
+        exact.fit(&two_level, &y).unwrap();
+        binned.fit(&two_level, &y).unwrap();
+        let pe = exact.predict_proba(&two_level).unwrap();
+        let pb = binned.predict_proba(&two_level).unwrap();
+        for (i, (a, b)) in pe.iter().zip(&pb).enumerate() {
+            prop_assert_eq!(
+                a.to_bits(), b.to_bits(), "forest sample {} diverged: {} vs {}", i, a, b
+            );
         }
     }
 

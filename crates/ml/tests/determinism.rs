@@ -118,6 +118,13 @@ fn random_forest_is_thread_invariant() {
     assert_thread_invariant(ModelKind::random_forest());
 }
 
+/// LinearR: every output solves against the one Gram factor the bank
+/// shares, whichever worker fits it.
+#[test]
+fn linear_r_is_thread_invariant() {
+    assert_thread_invariant(ModelKind::linear_r());
+}
+
 /// Early stopping must settle on the same round count per output no matter
 /// the thread count; the count is observable through the `ml.train.output`
 /// events (`rounds` field), which the byte comparison above pins. This test
