@@ -1,4 +1,4 @@
-// Positive fixture: raw std::sync import in a concurrent crate.
+// Positive fixture: raw std::sync import in library code.
 use std::sync::Mutex; // line 2: raw std::sync
 
 pub struct Counter {

@@ -1,4 +1,4 @@
-// Negative fixture: primitives come through the crate sync facade.
+// Negative fixture: primitives come through a sync facade.
 use crate::sync::Mutex;
 
 pub struct Counter {

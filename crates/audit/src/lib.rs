@@ -132,12 +132,12 @@ pub fn run_workspace(root: &Path) -> Result<Vec<Finding>, String> {
 }
 
 /// Lint explicit files (fixture/self-test mode): every file is treated as
-/// library code of a concurrent crate so all rules apply; the taxonomy check
-/// runs call-site-only against the committed registry when one is found.
+/// library code so all rules apply; the taxonomy check runs call-site-only
+/// against the committed registry when one is found.
 pub fn run_files(root: &Path, paths: &[PathBuf]) -> Result<Vec<Finding>, String> {
     let mut files = Vec::new();
     for path in paths {
-        files.push(load_ctx(root, path, Some(FileClass::SyncCrate))?);
+        files.push(load_ctx(root, path, Some(FileClass::Library))?);
     }
     let mut findings = Vec::new();
     for ctx in &files {

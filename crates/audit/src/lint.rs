@@ -19,8 +19,8 @@
 //!   `HashMap`/`HashSet` values declared in the same file.
 //! - **unwrap**: `.unwrap()` / `.expect()` / `panic!` / `unreachable!` /
 //!   `todo!` / `unimplemented!` in non-test library code.
-//! - **raw-sync**: `std::sync` paths outside each crate's `sync` facade
-//!   module (scoped to the concurrent crates).
+//! - **raw-sync**: `std::sync` paths in library code outside the one
+//!   `aqua_telemetry::sync` facade.
 //! - **taxonomy**: telemetry name literals at emission call sites must match
 //!   the committed registry (implemented in [`crate::taxonomy`]).
 
@@ -76,20 +76,17 @@ impl fmt::Display for Finding {
 /// How a file participates in linting, derived from its workspace path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FileClass {
-    /// Library source in one of the concurrent crates (core/ml/serve/
-    /// telemetry): all rules including raw-sync.
-    SyncCrate,
-    /// The telemetry clock module: the one legitimate wall-clock site.
+    /// The telemetry clock module: the one legitimate wall-clock site. Its
+    /// atomics stay on `std`, so a clock read is never a schedule point.
     ClockModule,
-    /// A crate's `sync.rs` facade: exempt from raw-sync by design.
+    /// The telemetry `sync.rs` facade: the one legitimate `std::sync`
+    /// site.
     SyncFacade,
-    /// Any other library source: all rules except raw-sync.
+    /// Any other library source: all rules.
     Library,
     /// Tests, benches, examples, fixtures: not linted.
     Exempt,
 }
-
-const SYNC_CRATES: [&str; 4] = ["core", "ml", "serve", "telemetry"];
 
 /// Classify a path relative to the workspace root.
 pub fn classify(rel: &Path) -> FileClass {
@@ -107,11 +104,8 @@ pub fn classify(rel: &Path) -> FileClass {
         if krate == "telemetry" && parts.last() == Some(&"clock.rs") {
             return FileClass::ClockModule;
         }
-        if SYNC_CRATES.contains(&krate) {
-            if parts.last() == Some(&"sync.rs") {
-                return FileClass::SyncFacade;
-            }
-            return FileClass::SyncCrate;
+        if parts == ["crates", "telemetry", "src", "sync.rs"] {
+            return FileClass::SyncFacade;
         }
         return FileClass::Library;
     }
@@ -440,7 +434,7 @@ pub fn rule_unwrap(ctx: &FileCtx, findings: &mut Vec<Finding>) {
 
 /// raw-sync: `std::sync` paths outside the facade.
 pub fn rule_raw_sync(ctx: &FileCtx, findings: &mut Vec<Finding>) {
-    if !matches!(ctx.class, FileClass::SyncCrate) {
+    if ctx.class != FileClass::Library {
         return;
     }
     let toks = &ctx.lexed.toks;
@@ -457,8 +451,7 @@ pub fn rule_raw_sync(ctx: &FileCtx, findings: &mut Vec<Finding>) {
                 findings,
                 toks[i].line,
                 Rule::RawSync,
-                "raw std::sync path in a concurrent crate; import via the crate::sync facade"
-                    .into(),
+                "raw std::sync path; import via the aqua_telemetry::sync facade".into(),
             );
         }
     }

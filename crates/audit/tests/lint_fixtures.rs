@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use aqua_audit::lint::{lint_file, FileClass, FileCtx, Rule};
+use aqua_audit::lint::{classify, lint_file, FileClass, FileCtx, Rule};
 use aqua_audit::taxonomy;
 
 fn fixture(name: &str) -> FileCtx {
@@ -15,7 +15,7 @@ fn fixture(name: &str) -> FileCtx {
         .join(name);
     let src =
         std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("fixture {name} unreadable: {e}"));
-    FileCtx::new(PathBuf::from(name), FileClass::SyncCrate, &src)
+    FileCtx::new(PathBuf::from(name), FileClass::Library, &src)
 }
 
 fn rules_hit(name: &str) -> Vec<(Rule, u32)> {
@@ -73,13 +73,29 @@ fn raw_sync_positive_and_negative() {
         "expected raw std::sync finding, got {hits:?}"
     );
     assert!(rules_hit("raw_sync_ok.rs").is_empty());
-    // Outside the concurrent crates the rule is off.
+    // The one facade is the only library file allowed raw std::sync paths.
     let src = std::fs::read_to_string(
         Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures/raw_sync_bad.rs"),
     )
     .expect("fixture readable");
-    let ctx = FileCtx::new(PathBuf::from("raw_sync_bad.rs"), FileClass::Library, &src);
+    let ctx = FileCtx::new(PathBuf::from("sync.rs"), FileClass::SyncFacade, &src);
     assert!(lint_file(&ctx).iter().all(|f| f.rule != Rule::RawSync));
+    assert_eq!(
+        classify(Path::new("crates/telemetry/src/sync.rs")),
+        FileClass::SyncFacade
+    );
+    for library in [
+        "crates/campaign/src/timeline.rs",
+        "crates/sensing/src/generator.rs",
+        "crates/ml/src/sync.rs",
+        "src/lib.rs",
+    ] {
+        assert_eq!(
+            classify(Path::new(library)),
+            FileClass::Library,
+            "{library}"
+        );
+    }
 }
 
 #[test]

@@ -39,6 +39,7 @@ use aqua_net::{synth, Network};
 use aqua_serve::fleet::{
     BackendPool, BackendSpec, BackendState, HealthCheckPolicy, ServiceRegistry,
 };
+use aqua_serve::wire::{self, Detections};
 use aqua_serve::{chaos, client, Fault, FaultPlan, ModelVault, Router, ServeConfig, Server};
 use aqua_telemetry::{TelemetryCtx, TelemetryHub};
 
@@ -55,10 +56,6 @@ fn smoke() -> bool {
 
 /// One slot of the replayed trace: `(time, readings in channel order)`.
 type Trace = Vec<(u64, Vec<Option<f64>>)>;
-
-/// Detections as `(time, leak-node names)` — the cross-transport parity
-/// currency.
-type Detections = Vec<(u64, Vec<String>)>;
 
 fn tenant_config(train_samples: usize) -> AquaScaleConfig {
     AquaScaleConfig {
@@ -110,20 +107,6 @@ fn train_tenant(net: Network, train_samples: usize, slots: u64) -> Tenant {
     Tenant { net, v1, v2, trace }
 }
 
-fn batch_body(t: u64, readings: &[Option<f64>]) -> String {
-    let vals: Vec<String> = readings
-        .iter()
-        .map(|r| match r {
-            Some(v) => format!("{v}"),
-            None => "null".to_string(),
-        })
-        .collect();
-    format!(
-        "{{\"batches\":[{{\"time\":{t},\"readings\":[{}]}}]}}",
-        vals.join(",")
-    )
-}
-
 /// An in-process twin of one served session: same seed, same readings,
 /// and a private [`ModelHandle`] upgraded at the same slot boundary as
 /// the session's home replica — so detections must match exactly.
@@ -133,41 +116,6 @@ struct Reference {
     tenant: usize,
     /// Slot at which this session's home replica rolls to v2.
     upgrade_slot: u64,
-}
-
-fn detections_of(session: &HostedSession, net: &Network) -> Detections {
-    session
-        .detections()
-        .iter()
-        .map(|d| {
-            let names = d
-                .leak_nodes
-                .iter()
-                .map(|&n| net.node(n).name.clone())
-                .collect();
-            (d.time, names)
-        })
-        .collect()
-}
-
-fn parse_detections(body: &str) -> Detections {
-    let doc = aqua_serve::json::Json::parse(body).expect("detections json");
-    doc.get("detections")
-        .and_then(|d| d.as_arr())
-        .expect("detections array")
-        .iter()
-        .map(|d| {
-            let time = d.get("time").and_then(|t| t.as_u64()).expect("time");
-            let names = d
-                .get("leak_nodes")
-                .and_then(|n| n.as_arr())
-                .expect("leak_nodes")
-                .iter()
-                .map(|n| n.as_str().expect("name").to_string())
-                .collect();
-            (time, names)
-        })
-        .collect()
 }
 
 /// One replica process: HTTP server plus its vault and telemetry hub.
@@ -387,7 +335,7 @@ fn run_fleet(tenants: &[Tenant], plan: &FaultPlan, upgrade_start: u64) -> FleetO
         // through the router, with its reference twin in lockstep.
         for (id, reference) in session_ids.iter().zip(&mut references) {
             let (t, readings) = &tenants[reference.tenant].trace[slot as usize];
-            let body = batch_body(*t, readings);
+            let body = wire::ingest_body(&[(*t, readings)]);
             let sent = Instant::now();
             let resp = router
                 .forward(
@@ -440,11 +388,9 @@ fn run_fleet(tenants: &[Tenant], plan: &FaultPlan, upgrade_start: u64) -> FleetO
             .expect("detections forwarded")
             .into_text();
         assert_eq!(resp.status, 200, "{}", resp.body);
-        served.push((id.clone(), parse_detections(&resp.body)));
-        expected.push((
-            id.clone(),
-            detections_of(&reference.session, &tenants[reference.tenant].net),
-        ));
+        let detections = wire::parse_detections(&resp.body).expect("detections json");
+        served.push((id.clone(), detections));
+        expected.push((id.clone(), wire::session_detections(&reference.session)));
     }
 
     // The killed replica must be visibly out of the rotation.

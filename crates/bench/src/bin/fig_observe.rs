@@ -43,7 +43,7 @@ use aqua_serve::fleet::{
     BackendPool, BackendSpec, BackendState, HealthCheckPolicy, ServiceRegistry,
 };
 use aqua_serve::{
-    chaos, client, Fault, FaultPlan, ForwardRecord, ModelVault, Router, ServeConfig, Server,
+    chaos, client, wire, Fault, FaultPlan, ForwardRecord, ModelVault, Router, ServeConfig, Server,
 };
 use aqua_telemetry::{TelemetryHub, TraceContext, TraceStitcher};
 
@@ -112,20 +112,6 @@ fn train_tenant(net: Network, train_samples: usize, slots: u64) -> Tenant {
         })
         .collect();
     Tenant { net, v1, v2, trace }
-}
-
-fn batch_body(t: u64, readings: &[Option<f64>]) -> String {
-    let vals: Vec<String> = readings
-        .iter()
-        .map(|r| match r {
-            Some(v) => format!("{v}"),
-            None => "null".to_string(),
-        })
-        .collect();
-    format!(
-        "{{\"batches\":[{{\"time\":{t},\"readings\":[{}]}}]}}",
-        vals.join(",")
-    )
 }
 
 /// One replica process: HTTP server plus its vault and telemetry hub.
@@ -332,7 +318,7 @@ fn run_observe(tenants: &[Tenant], plan: &FaultPlan, upgrade_start: u64) -> Obse
         // The slot's traffic: ingest + checkpoint per session, traced.
         for (id, &ti) in session_ids.iter().zip(&tenant_of) {
             let (t, readings) = &tenants[ti].trace[slot as usize];
-            let body = batch_body(*t, readings);
+            let body = wire::ingest_body(&[(*t, readings)]);
             let sent = Instant::now();
             let resp = forward(
                 slot,
@@ -495,7 +481,7 @@ fn tracing_overhead(tenant: &Tenant) -> (f64, f64) {
     let bodies: Vec<String> = tenant
         .trace
         .iter()
-        .map(|(t, readings)| batch_body(*t, readings))
+        .map(|(t, readings)| wire::ingest_body(&[(*t, readings)]))
         .collect();
     let client_hub = TelemetryHub::new();
     let mut ord = 0u64;

@@ -28,6 +28,7 @@ use aqua_core::{AquaScale, AquaScaleConfig, HostedSession, ProfileArtifact, Sess
 use aqua_hydraulics::{solve_snapshot, LeakEvent, Scenario, SolverOptions};
 use aqua_ml::ModelKind;
 use aqua_net::{synth, Network};
+use aqua_serve::wire::{self, Detections};
 use aqua_serve::{client, ServeConfig, Server};
 use aqua_telemetry::{TelemetryCtx, TelemetryHub};
 
@@ -65,26 +66,8 @@ fn reading_trace(net: &Network, session: &HostedSession, slots: u64) -> Trace {
         .collect()
 }
 
-fn batch_body(t: u64, readings: &[Option<f64>]) -> String {
-    let vals: Vec<String> = readings
-        .iter()
-        .map(|r| match r {
-            Some(v) => format!("{v}"),
-            None => "null".to_string(),
-        })
-        .collect();
-    format!(
-        "{{\"batches\":[{{\"time\":{t},\"readings\":[{}]}}]}}",
-        vals.join(",")
-    )
-}
-
 /// Reference detections `(time, leak-node names)` from the in-process path.
-fn reference_detections(
-    net: &Network,
-    artifact_bytes: &[u8],
-    trace: &Trace,
-) -> Vec<(u64, Vec<String>)> {
+fn reference_detections(net: &Network, artifact_bytes: &[u8], trace: &Trace) -> Detections {
     let artifact = ProfileArtifact::from_bytes(artifact_bytes).expect("decode");
     let mut session =
         HostedSession::from_artifact(net.clone(), artifact, SEED).expect("host reference");
@@ -93,18 +76,7 @@ fn reference_detections(
             .ingest(*t, readings, TelemetryCtx::none())
             .expect("reference ingest");
     }
-    session
-        .detections()
-        .iter()
-        .map(|d| {
-            let names = d
-                .leak_nodes
-                .iter()
-                .map(|&n| net.node(n).name.clone())
-                .collect();
-            (d.time, names)
-        })
-        .collect()
+    wire::session_detections(&session)
 }
 
 /// Replays the trace from `clients` concurrent connections (one session
@@ -145,7 +117,7 @@ fn run_level(
             std::thread::spawn(move || {
                 let mut latencies = Vec::with_capacity(trace.len());
                 for (t, readings) in &trace {
-                    let body = batch_body(*t, readings);
+                    let body = wire::ingest_body(&[(*t, readings)]);
                     let sent = Instant::now();
                     let resp = client::post_json(addr, &format!("/v1/sessions/c{c}/ingest"), &body)
                         .expect("ingest request");
@@ -166,24 +138,7 @@ fn run_level(
     for c in 0..clients {
         let resp = client::get(addr, &format!("/v1/sessions/c{c}/detections")).expect("query");
         assert_eq!(resp.status, 200, "{}", resp.body);
-        let doc = resp.json().expect("detections json");
-        let served: Vec<(u64, Vec<String>)> = doc
-            .get("detections")
-            .and_then(|d| d.as_arr())
-            .expect("detections array")
-            .iter()
-            .map(|d| {
-                let time = d.get("time").and_then(|t| t.as_u64()).expect("time");
-                let names = d
-                    .get("leak_nodes")
-                    .and_then(|n| n.as_arr())
-                    .expect("leak_nodes")
-                    .iter()
-                    .map(|n| n.as_str().expect("name").to_string())
-                    .collect();
-                (time, names)
-            })
-            .collect();
+        let served = wire::parse_detections(&resp.body).expect("detections json");
         assert_eq!(
             served, reference,
             "client c{c}: HTTP detections diverge from the in-process reference"

@@ -40,7 +40,6 @@ pub mod hazard;
 pub mod plan;
 pub mod replay;
 pub mod score;
-pub mod sync;
 pub mod timeline;
 
 pub use error::CampaignError;

@@ -5,16 +5,14 @@
 
 use aqua_core::{HostedSession, ProfileArtifact, SessionRegistry};
 use aqua_net::Network;
-use aqua_serve::{client, ModelVault, ServeConfig, Server};
+use aqua_serve::{client, wire, ModelVault, ServeConfig, Server};
+use aqua_telemetry::sync::Arc;
 use aqua_telemetry::{TelemetryCtx, TelemetryHub};
 
 use crate::error::CampaignError;
-use crate::sync::Arc;
 use crate::timeline::RenderedCampaign;
 
-/// Detections as `(time, leak-node names)` — the cross-transport parity
-/// currency.
-pub type Detections = Vec<(u64, Vec<String>)>;
+pub use aqua_serve::wire::Detections;
 
 /// What one hosted replay produced.
 #[derive(Debug, Clone)]
@@ -35,63 +33,6 @@ pub struct ReplayOutcome {
 
 fn replay_err(context: &str, detail: impl std::fmt::Display) -> CampaignError {
     CampaignError::Replay(format!("{context}: {detail}"))
-}
-
-fn batch_body(t: u64, readings: &[Option<f64>]) -> String {
-    let vals: Vec<String> = readings
-        .iter()
-        .map(|r| match r {
-            Some(v) => format!("{v}"),
-            None => "null".to_string(),
-        })
-        .collect();
-    format!(
-        "{{\"batches\":[{{\"time\":{t},\"readings\":[{}]}}]}}",
-        vals.join(",")
-    )
-}
-
-fn parse_detections(body: &str) -> Result<Detections, CampaignError> {
-    let doc = aqua_serve::json::Json::parse(body).map_err(|e| replay_err("detections json", e))?;
-    let arr = doc
-        .get("detections")
-        .and_then(|d| d.as_arr())
-        .ok_or_else(|| replay_err("detections json", "missing detections array"))?;
-    arr.iter()
-        .map(|d| {
-            let time = d
-                .get("time")
-                .and_then(|t| t.as_u64())
-                .ok_or_else(|| replay_err("detections json", "missing time"))?;
-            let names = d
-                .get("leak_nodes")
-                .and_then(|n| n.as_arr())
-                .ok_or_else(|| replay_err("detections json", "missing leak_nodes"))?
-                .iter()
-                .map(|n| {
-                    n.as_str()
-                        .map(str::to_string)
-                        .ok_or_else(|| replay_err("detections json", "non-string leak node"))
-                })
-                .collect::<Result<Vec<String>, CampaignError>>()?;
-            Ok((time, names))
-        })
-        .collect()
-}
-
-fn detections_of(session: &HostedSession, net: &Network) -> Detections {
-    session
-        .detections()
-        .iter()
-        .map(|d| {
-            let names = d
-                .leak_nodes
-                .iter()
-                .map(|&n| net.node(n).name.clone())
-                .collect();
-            (d.time, names)
-        })
-        .collect()
 }
 
 /// Replays a rendered campaign through a freshly started `aqua-serve`
@@ -149,7 +90,7 @@ pub fn replay_hosted(
 
     let mut batches = 0u64;
     for (&time, readings) in rendered.times.iter().zip(&rendered.readings) {
-        let body = batch_body(time, readings);
+        let body = wire::ingest_body(&[(time, readings)]);
         let resp = client::post_json(addr, &format!("/v1/sessions/{session_id}/ingest"), &body)
             .map_err(|e| replay_err("ingest", e))?;
         if resp.status != 200 {
@@ -166,8 +107,9 @@ pub fn replay_hosted(
     if resp.status != 200 {
         return Err(replay_err("detections", resp.body));
     }
-    let served = parse_detections(&resp.body)?;
-    let expected = detections_of(&reference, net);
+    let served =
+        wire::parse_detections(&resp.body).map_err(|e| replay_err("detections json", e))?;
+    let expected = wire::session_detections(&reference);
     let dropped = expected.iter().filter(|d| !served.contains(d)).count();
 
     let mut events: Vec<String> = hub

@@ -14,12 +14,12 @@ use aqua_hydraulics::{
     solve_snapshot_recovering, LeakEvent, QualitySources, Scenario, Snapshot, SolverOptions,
     SolverWorkspace, WaterQuality,
 };
+use aqua_ml::work::par_map_indexed;
 use aqua_net::{LinkId, LinkStatus, Network, NodeId};
 use aqua_sensing::{FaultInjector, FaultKind, FaultModel, SensorSet};
 use aqua_telemetry::TelemetryCtx;
 
 use crate::error::CampaignError;
-use crate::sync::atomic::{AtomicUsize, Ordering};
 
 /// A link closed over `[start_slot, end_slot)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -187,28 +187,6 @@ pub struct RenderedCampaign {
     pub peak_contamination_mg_l: f64,
 }
 
-/// Work-stealing slot queue: workers claim indices with a relaxed
-/// `fetch_add`, and every result lands in its slot's output index, so
-/// the assembled trace does not depend on which worker solved what.
-struct WorkQueue {
-    next: AtomicUsize,
-    total: usize,
-}
-
-impl WorkQueue {
-    fn new(total: usize) -> Self {
-        WorkQueue {
-            next: AtomicUsize::new(0),
-            total,
-        }
-    }
-
-    fn claim(&self) -> Option<usize> {
-        let i = self.next.fetch_add(1, Ordering::Relaxed);
-        (i < self.total).then_some(i)
-    }
-}
-
 /// Solves one slot down the fallback ladder: full scenario → scenario
 /// without trips → quiet baseline. Each rung uses a fresh workspace so
 /// warm-start state never leaks across slots (which would make results
@@ -242,53 +220,21 @@ fn solve_slot(
     }
 }
 
-/// One worker's output: `(slot index, ladder result)` pairs.
-type WorkerSlots = Vec<(usize, Result<(Snapshot, u64), CampaignError>)>;
-
-/// Solves all slots, possibly in parallel; results are keyed by slot.
+/// Solves all slots, possibly in parallel; results are keyed by slot, and
+/// a failure reports the lowest failing slot for any thread count.
 fn solve_all(
     net: &Network,
     compiled: &CompiledCampaign,
     opts: &RenderOptions,
 ) -> Result<Vec<(Snapshot, u64)>, CampaignError> {
-    let total = compiled.slots as usize;
-    let threads = opts.threads.max(1).min(total.max(1));
-    if threads == 1 {
-        return (0..compiled.slots)
-            .map(|slot| solve_slot(net, compiled, slot, &opts.solver))
-            .collect();
-    }
-    let queue = WorkQueue::new(total);
-    let gathered: Vec<WorkerSlots> = crossbeam::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let queue = &queue;
-                s.spawn(move |_| {
-                    let mut local = Vec::new();
-                    while let Some(i) = queue.claim() {
-                        local.push((i, solve_slot(net, compiled, i as u64, &opts.solver)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            // audit: unwrap-ok(worker panics are render bugs; propagate them)
-            .map(|h| h.join().unwrap())
-            .collect()
-    })
-    // audit: unwrap-ok(scope propagates worker panics; render has none)
-    .unwrap();
-    let mut slots: Vec<Option<(Snapshot, u64)>> = (0..total).map(|_| None).collect();
-    for (i, result) in gathered.into_iter().flatten() {
-        slots[i] = Some(result?);
-    }
-    slots
-        .into_iter()
-        .enumerate()
-        .map(|(i, s)| s.ok_or_else(|| CampaignError::Hydraulic(format!("slot {i} never solved"))))
-        .collect()
+    par_map_indexed(
+        compiled.slots as usize,
+        opts.threads,
+        || (),
+        |(), slot| solve_slot(net, compiled, slot as u64, &opts.solver),
+    )
+    .into_iter()
+    .collect()
 }
 
 /// Renders a compiled campaign into a sensor trace plus impact
@@ -406,4 +352,54 @@ pub fn render(
         flood,
         peak_contamination_mg_l,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_failed_render_names_the_lowest_failing_slot_at_every_thread_count() {
+        // On quiet EPA-NET a four-iteration budget (32 once the ladder
+        // escalates) solves the first slots and fails on later ones, so a
+        // worker can meet a failing slot above the lowest one first.
+        let net = aqua_net::synth::epa_net();
+        let compiled = CompiledCampaign {
+            slots: 16,
+            slot_seconds: 900,
+            leaks: Vec::new(),
+            trips: Vec::new(),
+            contamination: Vec::new(),
+            frozen: Vec::new(),
+            faults: FaultModel::default(),
+            flood: None,
+            events: Vec::new(),
+        };
+        let solver = SolverOptions {
+            max_iterations: 4,
+            ..SolverOptions::default()
+        };
+        let lowest = (0..compiled.slots)
+            .find(|&slot| solve_slot(&net, &compiled, slot, &solver).is_err())
+            .expect("some slot fails on a four-iteration budget");
+        assert!(
+            lowest > 0,
+            "slot 0 must solve for the check to mean anything"
+        );
+        let sensors = SensorSet::full(&net);
+        let names_lowest = format!("slot {lowest} ");
+        for threads in [1, 2, 8] {
+            let opts = RenderOptions {
+                threads,
+                solver: solver.clone(),
+                ..RenderOptions::default()
+            };
+            let err = render(&net, &sensors, &compiled, &opts, TelemetryCtx::none())
+                .expect_err("a slot fails on every rung");
+            assert!(
+                matches!(&err, CampaignError::Hydraulic(m) if m.starts_with(&names_lowest)),
+                "threads={threads}: {err:?}"
+            );
+        }
+    }
 }

@@ -18,10 +18,10 @@ use std::time::Duration;
 use aqua_hydraulics::{solve_snapshot, LeakEvent, Scenario, Snapshot, SolverOptions};
 use aqua_net::{Network, NodeId};
 use aqua_sensing::SensorSet;
+use aqua_telemetry::sync::Arc;
 use aqua_telemetry::Clock;
 
 use crate::error::AquaError;
-use crate::sync::Arc;
 use crate::timing::SharedClock;
 
 /// Enumeration-based leak localization via simulation matching.

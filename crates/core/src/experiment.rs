@@ -13,14 +13,13 @@ use aqua_sensing::{k_medoids_placement, LeakDataset, PlacementConfig, SensorSet}
 use aqua_telemetry::TelemetryCtx;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::error::AquaError;
 use crate::pipeline::{AquaScale, AquaScaleConfig, ExternalObservations, ProfileModel};
 use crate::scenario::cold_snap_flags;
 
 /// Which information sources Phase II fuses (the paper's legend labels).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SourceMix {
     /// IoT measurements only.
     IotOnly,

@@ -51,7 +51,6 @@ pub mod scenario;
 pub mod shard;
 pub mod slot;
 pub mod swap;
-pub mod sync;
 mod timing;
 
 pub use artifact::ProfileArtifact;

@@ -7,10 +7,10 @@ use aqua_hydraulics::SolverOptions;
 use aqua_ml::{Matrix, ModelKind, MultiOutputModel, Scaler};
 use aqua_net::{Network, NodeId};
 use aqua_sensing::{DatasetBuilder, FeatureConfig, LeakDataset, SensorSet};
+use aqua_telemetry::sync::Arc;
 use aqua_telemetry::{Clock, TelemetryCtx};
 
 use crate::error::AquaError;
-use crate::sync::Arc;
 use crate::timing::SharedClock;
 
 /// Configuration of an AquaSCALE deployment.

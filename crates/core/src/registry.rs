@@ -8,11 +8,10 @@
 //! hosted sessions by network id behind sharded locks, so concurrent
 //! requests against *different* sessions never contend on one mutex.
 
-use crate::sync::Arc;
-
 use aqua_artifact::{Codec, SectionReader, SectionWriter, Writer};
 use aqua_net::Network;
 use aqua_sensing::{FaultModel, SensorSet};
+use aqua_telemetry::sync::Arc;
 use aqua_telemetry::TelemetryCtx;
 
 use crate::artifact::ProfileArtifact;

@@ -10,7 +10,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::sync::{Mutex, MutexGuard};
+use aqua_telemetry::sync::{Mutex, MutexGuard};
 
 /// A concurrent map of `String → V` with per-shard locking.
 pub struct ShardedMap<V> {

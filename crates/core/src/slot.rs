@@ -14,7 +14,7 @@
 //! taken *before* taking the write lock is exactly the lost-update race the
 //! `model_swap` suite pins as a regression.
 
-use crate::sync::{Arc, RwLock};
+use aqua_telemetry::sync::{Arc, RwLock};
 
 /// An atomically swappable, snapshot-readable slot.
 pub struct VersionedSlot<T> {

@@ -16,13 +16,13 @@
 //! prediction — all *before* the cut-over. Any failure leaves the previous
 //! snapshot serving, untouched.
 
-use crate::sync::Arc;
+use aqua_net::Network;
+use aqua_telemetry::sync::Arc;
 
 use crate::artifact::ProfileArtifact;
 use crate::error::AquaError;
 use crate::pipeline::{AquaScale, AquaScaleConfig, ExternalObservations, ProfileModel};
 use crate::slot::VersionedSlot;
-use aqua_net::Network;
 
 /// One immutable, shareable version of a deployed model: the trained
 /// profile plus the configuration inference must run under.

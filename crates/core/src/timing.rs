@@ -3,9 +3,8 @@
 use std::fmt;
 use std::time::Duration;
 
+use aqua_telemetry::sync::Arc;
 use aqua_telemetry::{Clock, MonotonicClock};
-
-use crate::sync::Arc;
 
 /// A cloneable, Debug-opaque handle on a [`Clock`], used wherever this
 /// crate reports wall-clock durations ([`crate::baseline::BaselineResult`]'s

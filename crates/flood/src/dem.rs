@@ -1,14 +1,13 @@
 //! Digital elevation model interpolated from network node elevations.
 
 use aqua_net::Network;
-use serde::{Deserialize, Serialize};
 
 /// A raster digital elevation model over the network's bounding box.
 ///
 /// Cells are square; elevations are interpolated from the scattered node
 /// elevations by inverse-distance weighting (IDW, power 2), the standard
 /// lightweight scheme for sparse control points.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dem {
     nx: usize,
     ny: usize,

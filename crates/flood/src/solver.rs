@@ -8,7 +8,6 @@
 
 use aqua_hydraulics::Snapshot;
 use aqua_net::Network;
-use serde::{Deserialize, Serialize};
 
 use crate::dem::Dem;
 
@@ -17,7 +16,7 @@ const GRAVITY: f64 = 9.81;
 const DRY: f64 = 1e-5;
 
 /// A continuous water inflow at a world coordinate (a surfacing leak).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PointSource {
     /// World x, meters.
     pub x: f64,

@@ -12,12 +12,11 @@
 use aqua_net::{Network, NodeId};
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::weather::poisson;
 
 /// One leak-related social media report.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Tweet {
     /// Report location, meters (network coordinate frame).
     pub x: f64,
@@ -32,7 +31,7 @@ pub struct Tweet {
 
 /// A subzone implicated by co-located reports: the node set within `γ` of
 /// the report location, with the eq.-3 confidence.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Clique {
     /// Indices into the caller's junction list (not raw node ids).
     pub members: Vec<usize>,
@@ -43,7 +42,7 @@ pub struct Clique {
 }
 
 /// The paper's human-sensing parameters (Sec. V-A).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HumanInputModel {
     /// Arrival rate λ: expected reports per sampling slot per leak.
     pub arrival_rate: f64,

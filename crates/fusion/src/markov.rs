@@ -11,10 +11,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// The weather regime.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Regime {
     /// Seasonal-normal temperatures.
     Normal,
@@ -23,7 +22,7 @@ pub enum Regime {
 }
 
 /// A two-state Markov chain over daily weather regimes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MarkovWeather {
     /// P(ColdSnap tomorrow | Normal today).
     pub p_enter_snap: f64,

@@ -2,14 +2,13 @@
 //! consistency), minimizing the energy function eq. (9).
 
 use aqua_artifact::{ArtifactError, Codec, Reader, Writer};
-use serde::{Deserialize, Serialize};
 
 use crate::bayes;
 use crate::entropy::{binary_entropy, clique_potential, total_entropy};
 use crate::human::Clique;
 
 /// Knobs of the Phase-II fusion (paper Sec. V-A defaults).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TuningConfig {
     /// `p_v(leak | freeze)` used in the Bayes update.
     pub p_leak_given_freeze: f64,

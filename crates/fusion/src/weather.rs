@@ -14,13 +14,12 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// The paper's freeze threshold, °F.
 pub const FREEZE_THRESHOLD_F: f64 = 20.0;
 
 /// Per-node freezing/breaking probabilities (Sec. V-A defaults).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FreezeModel {
     /// Temperature below which freezing becomes possible, °F.
     pub threshold_f: f64,
@@ -113,7 +112,7 @@ impl TemperatureModel {
 /// Expected pipe breaks per day as a function of ambient temperature —
 /// the Fig. 3 relationship: roughly flat above freezing, rising sharply
 /// once temperatures drop toward the 20 °F freeze threshold.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BreakRateModel {
     /// Warm-weather baseline breaks/day.
     pub base_rate: f64,

@@ -1,7 +1,5 @@
 //! Emitter-based leak modeling (paper eq. 1).
 
-use serde::{Deserialize, Serialize};
-
 /// A pressure-dependent orifice discharging to the atmosphere.
 ///
 /// Implements the paper's leak model (eq. 1): `Q = EC · p^β` where `Q` is
@@ -19,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// assert!((leak.flow(25.0) - 0.005).abs() < 1e-12); // 0.001 · √25
 /// assert_eq!(leak.flow(-3.0), 0.0); // no outflow without pressure
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Emitter {
     /// Effective leak area coefficient `EC` (the paper's leak size `e.s`).
     pub coefficient: f64,

@@ -9,12 +9,11 @@
 use std::collections::BTreeMap;
 
 use aqua_net::{LinkId, LinkStatus, NodeId};
-use serde::{Deserialize, Serialize};
 
 use crate::emitter::Emitter;
 
 /// One leak event `e = (l, s, t)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LeakEvent {
     /// Leak location `e.l` (a junction id).
     pub node: NodeId,
@@ -46,7 +45,7 @@ impl LeakEvent {
 }
 
 /// A runtime overlay: concurrent leak events plus operational overrides.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     /// The leak event set `e = {e}` (multiple concurrent leaks supported).
     pub leaks: Vec<LeakEvent>,

@@ -2,14 +2,13 @@
 
 use aqua_artifact::{ArtifactError, Codec, Reader, Writer};
 use aqua_net::{LinkId, Network, NodeId};
-use serde::{Deserialize, Serialize};
 
 /// The solved hydraulic state of a network at one hydraulic time step.
 ///
 /// Heads are absolute (m); pressures are heads minus node elevation (m of
 /// water column); flows are signed (positive in the link's `from → to`
 /// direction, m³/s).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
     /// Simulation time in seconds.
     pub time: u64,

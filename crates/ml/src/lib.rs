@@ -41,7 +41,6 @@ mod matrix;
 pub mod metrics;
 mod multioutput;
 mod svm;
-pub mod sync;
 mod tree;
 pub mod work;
 

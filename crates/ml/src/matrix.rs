@@ -1,9 +1,7 @@
 //! A minimal row-major feature matrix.
 
-use serde::{Deserialize, Serialize};
-
 /// A dense row-major matrix of `f64` features (samples × features).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

@@ -4,11 +4,10 @@
 //! "Due to the mutual independence of labels, the problem is then
 //! transformed to multiple binary classifications where a binary classifier
 //! is trained for each node independently" (Sec. III-B). Training is
-//! parallelized across outputs with scoped threads pulling from a shared
-//! work queue; results land in per-output slots, so the trained bank — and
-//! its serialized bytes — is **identical for any thread count** (the same
-//! discipline `DatasetBuilder` uses, tested at {1, 2, 8} threads in
-//! `crates/ml/tests/determinism.rs`).
+//! parallelized across outputs by [`par_map_indexed`]; results land in
+//! per-output slots, so the trained bank — and its serialized bytes — is
+//! **identical for any thread count** (the same map `DatasetBuilder` uses,
+//! tested at {1, 2, 8} threads in `crates/ml/tests/determinism.rs`).
 //!
 //! Whatever the outputs share is built **once** per corpus by
 //! [`ModelKind::prepare`] and read by every per-output fit: the
@@ -18,12 +17,11 @@
 
 use aqua_artifact::{ArtifactError, Codec, Reader, Writer};
 use aqua_telemetry::{TelemetryCtx, Value};
-use crossbeam::thread;
 
 use crate::classifier::{Classifier, ModelKind};
 use crate::error::MlError;
 use crate::matrix::Matrix;
-use crate::work::WorkQueue;
+use crate::work::par_map_indexed;
 
 /// A bank of per-output binary classifiers sharing one feature matrix —
 /// the paper's profile model `f = {f_v : v ∈ V}` (Algorithm 1).
@@ -92,93 +90,52 @@ impl MultiOutputModel {
         }
         let span = tel.span("ml.train");
         let tel = span.ctx();
-        let threads = threads.max(1).min(labels.len());
         let n_out = labels.len();
 
         // The label-independent state is paid for once per corpus, not
         // once per output.
         let prep = kind.prepare_traced(x, tel)?;
 
-        let mut results: Vec<Option<Result<Box<dyn Classifier>, MlError>>> =
-            (0..n_out).map(|_| None).collect();
-
-        // Times one fit; pushes seconds into `durs` only when telemetry is
-        // live (the disabled path never touches the clock). The per-output
-        // event carries only deterministic fields (index, boosting rounds)
-        // keyed by the output index, so the flushed JSONL stream is
-        // byte-identical for any thread count.
-        let fit_one = |v: usize, durs: &mut Vec<f64>| -> Result<Box<dyn Classifier>, MlError> {
-            let t0 = tel.now_ns();
-            let mut model = kind.build(seed.wrapping_add(v as u64));
-            let fitted = model.fit_prepared(x, &labels[v], &prep).map(|()| model);
-            if let (Some(t0), Some(t1)) = (t0, tel.now_ns()) {
-                durs.push(t1.saturating_sub(t0) as f64 / 1e9);
-            }
-            if tel.enabled() {
-                if let Ok(model) = &fitted {
-                    tel.emit(
-                        v as u64,
-                        "ml.train.output",
-                        &[
-                            ("output", Value::from(v)),
-                            ("rounds", Value::from(model.boosting_rounds().unwrap_or(0))),
-                        ],
-                    );
+        // Each output's fit, with its seconds when telemetry is live (the
+        // disabled path never touches the clock). A worker claims the next
+        // untrained output, so an expensive output never serializes a
+        // whole chunk behind it. Every output's result depends only on its
+        // index (seed derivation included), and the per-output event
+        // carries only deterministic fields (index, boosting rounds) keyed
+        // by that index, so the bank and the flushed JSONL stream are
+        // identical for any thread count.
+        let fitted = par_map_indexed(
+            n_out,
+            threads,
+            || (),
+            |(), v| {
+                let t0 = tel.now_ns();
+                let mut model = kind.build(seed.wrapping_add(v as u64));
+                let fitted = model.fit_prepared(x, &labels[v], &prep).map(|()| model);
+                let secs = t0
+                    .zip(tel.now_ns())
+                    .map(|(t0, t1)| t1.saturating_sub(t0) as f64 / 1e9);
+                if tel.enabled() {
+                    if let Ok(model) = &fitted {
+                        tel.emit(
+                            v as u64,
+                            "ml.train.output",
+                            &[
+                                ("output", Value::from(v)),
+                                ("rounds", Value::from(model.boosting_rounds().unwrap_or(0))),
+                            ],
+                        );
+                    }
                 }
-            }
-            fitted
-        };
-
-        if threads == 1 {
-            let mut durs = Vec::new();
-            for (v, slot) in results.iter_mut().enumerate() {
-                *slot = Some(fit_one(v, &mut durs));
-            }
-            tel.observe_many("ml.train.fit_s", &durs);
-        } else {
-            // Work queue: each worker claims the next untrained output, so
-            // an expensive output never serializes a whole chunk behind it.
-            // Every output's result depends only on its index (seed
-            // derivation included), and results land in index slots — the
-            // trained bank is identical for any claim interleaving.
-            type WorkerOut = Vec<(usize, Result<Box<dyn Classifier>, MlError>)>;
-            let queue = WorkQueue::new(n_out);
-            let queue = &queue;
-            let fit_one = &fit_one;
-            let worker_results: Vec<WorkerOut> = thread::scope(|s| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|_| {
-                        s.spawn(move |_| {
-                            let mut out = Vec::new();
-                            // One histogram flush per worker, not per
-                            // output.
-                            let mut durs = Vec::new();
-                            while let Some(v) = queue.claim() {
-                                out.push((v, fit_one(v, &mut durs)));
-                            }
-                            tel.observe_many("ml.train.fit_s", &durs);
-                            out
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    // audit: unwrap-ok(worker panics are training bugs; propagate them)
-                    .map(|h| h.join().expect("training threads do not panic"))
-                    .collect()
-            })
-            // audit: unwrap-ok(worker panics are training bugs; propagate them)
-            .expect("training threads do not panic");
-            for (v, res) in worker_results.into_iter().flatten() {
-                results[v] = Some(res);
-            }
-        }
-
-        let mut models = Vec::with_capacity(n_out);
-        for slot in results {
-            // audit: unwrap-ok(WorkQueue::claim hands out every index exactly once)
-            models.push(slot.expect("every output trained")?);
-        }
+                (fitted, secs)
+            },
+        );
+        let durs: Vec<f64> = fitted.iter().filter_map(|&(_, secs)| secs).collect();
+        tel.observe_many("ml.train.fit_s", &durs);
+        let models = fitted
+            .into_iter()
+            .map(|(fitted, _)| fitted)
+            .collect::<Result<Vec<_>, _>>()?;
         if tel.enabled() {
             tel.add("ml.train.outputs", n_out as u64);
             let rounds: u64 = models

@@ -1,5 +1,8 @@
 //! Model-checked interleavings of [`aqua_ml::work::WorkQueue`] — the claim
-//! counter behind parallel per-output training in `MultiOutputModel::fit`.
+//! counter behind `par_map_indexed`, the one parallel map of the workspace.
+//! It has three callers: the corpus build (`DatasetBuilder::build`), the
+//! junction-bank fit (`MultiOutputModel::fit`) and the campaign render
+//! (`aqua_campaign::render`).
 //!
 //! Build and run with:
 //!
@@ -8,8 +11,9 @@
 //! ```
 //!
 //! Invariant: across every interleaving of the workers' `fetch_add` claims,
-//! each output index is claimed by exactly one worker and none is skipped —
-//! which is what makes the trained bank identical for any thread count.
+//! each index is claimed by exactly one worker and none is skipped — which
+//! is what makes the corpus, the trained bank and the rendered trace
+//! identical for any thread count.
 
 #![cfg(aqua_model_check)]
 

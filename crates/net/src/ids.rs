@@ -1,13 +1,12 @@
 //! Typed indices into a [`crate::Network`].
 
 use aqua_artifact::{ArtifactError, Codec, Reader, Writer};
-use serde::{Deserialize, Serialize};
 
 /// Index of a node (junction, reservoir or tank) within a network.
 ///
 /// Node ids are dense: they range over `0..network.node_count()` and can be
 /// used to index per-node result vectors produced by the hydraulic engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub(crate) usize);
 
 impl NodeId {
@@ -28,7 +27,7 @@ impl NodeId {
 }
 
 /// Index of a link (pipe, pump or valve) within a network.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LinkId(pub(crate) usize);
 
 impl LinkId {
@@ -46,7 +45,7 @@ impl LinkId {
 }
 
 /// Index of a demand pattern within a network.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PatternId(pub(crate) usize);
 
 impl PatternId {

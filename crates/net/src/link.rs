@@ -1,14 +1,12 @@
 //! Link types: pipes, pumps and valves.
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::NodeId;
 
 /// Open/closed status of a link.
 ///
 /// The paper's networks carry a per-pipe `status (open or close controlled by
 /// a valve)` attribute; closed links carry no flow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LinkStatus {
     /// Link conveys flow.
     #[default]
@@ -18,7 +16,7 @@ pub enum LinkStatus {
 }
 
 /// A pressurized pipe segment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Pipe {
     /// Length in meters.
     pub length: f64,
@@ -37,7 +35,7 @@ pub struct Pipe {
 /// Constructed from a design point `(q_design, h_design)` following EPANET's
 /// convention: shutoff head `h0 = 4/3·h_design` and maximum flow
 /// `q_max = 2·q_design`, with exponent `n = 2`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PumpCurve {
     /// Shutoff head (head gain at zero flow), meters.
     pub shutoff_head: f64,
@@ -81,7 +79,7 @@ impl PumpCurve {
 }
 
 /// A pump that adds head between its suction and discharge nodes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Pump {
     /// The pump head curve.
     pub curve: PumpCurve,
@@ -90,7 +88,7 @@ pub struct Pump {
 }
 
 /// The kind of a control valve.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ValveKind {
     /// Throttle control valve: imposes a minor-loss coefficient.
     Tcv,
@@ -99,7 +97,7 @@ pub enum ValveKind {
 }
 
 /// A control valve.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Valve {
     /// Valve kind.
     pub kind: ValveKind,
@@ -111,7 +109,7 @@ pub struct Valve {
 }
 
 /// The link role within the network.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum LinkKind {
     /// A pipe segment.
     Pipe(Pipe),
@@ -129,7 +127,7 @@ impl LinkKind {
 }
 
 /// A link of the water network.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Link {
     /// Human-readable link label (unique within the network).
     pub name: String,

@@ -2,8 +2,6 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::NetError;
 use crate::graph::Adjacency;
 use crate::ids::{LinkId, NodeId, PatternId};
@@ -30,13 +28,12 @@ use crate::pattern::Pattern;
 /// assert_eq!(net.node_count(), 2);
 /// assert_eq!(net.link_count(), 1);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Network {
     name: String,
     nodes: Vec<Node>,
     links: Vec<Link>,
     patterns: Vec<Pattern>,
-    #[serde(skip)]
     name_index: HashMap<String, ()>,
 }
 

@@ -1,14 +1,12 @@
 //! Node types: junctions, reservoirs and tanks.
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::PatternId;
 
 /// A demand node where pipes join.
 ///
 /// Junctions are the potential leak locations in the paper's model: leak
 /// events are simulated by attaching an emitter to a junction (Sec. III-A).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Junction {
     /// Base consumer demand in m³/s, scaled by the demand pattern.
     pub base_demand: f64,
@@ -17,14 +15,14 @@ pub struct Junction {
 }
 
 /// An infinite external water source (or sink) with a fixed total head.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Reservoir {
     /// Total hydraulic head in meters (water surface elevation).
     pub head: f64,
 }
 
 /// A storage tank whose level varies over an extended-period simulation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tank {
     /// Water level above the tank bottom at simulation start, in meters.
     pub init_level: f64,
@@ -49,7 +47,7 @@ impl Tank {
 }
 
 /// The node role within the network.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum NodeKind {
     /// A demand junction.
     Junction(Junction),
@@ -73,7 +71,7 @@ impl NodeKind {
 }
 
 /// A node of the water network.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Node {
     /// Human-readable node label (unique within the network).
     pub name: String,

@@ -1,13 +1,11 @@
 //! Time-of-day demand patterns.
 
-use serde::{Deserialize, Serialize};
-
 /// A periodic multiplier pattern applied to junction base demands.
 ///
 /// The pattern holds one multiplier per pattern time step and repeats
 /// indefinitely; EPANET calls this the "time pattern". A junction's actual
 /// demand at time `t` is `base_demand * pattern.multiplier_at(t)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Pattern {
     /// Pattern label.
     pub name: String,

@@ -42,10 +42,9 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use aqua_artifact::{ArtifactError, Codec, Reader, Writer};
-use serde::{Deserialize, Serialize};
 
 /// The fault mode that affected a reading.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum FaultKind {
     /// The reading is missing.
@@ -101,7 +100,7 @@ impl Reading {
 /// faulty regime for the lifetime of the model. The default model injects
 /// nothing — [`FaultModel::none()`] — so existing pipelines are untouched
 /// until a caller opts in.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultModel {
     /// Per-reading probability that a reading is missing.
     pub dropout_rate: f64,

@@ -13,6 +13,7 @@ use aqua_hydraulics::{
     solve_snapshot_recovering_traced, solve_snapshot_traced, ExtendedPeriodSim, HydraulicError,
     LeakEvent, Scenario, Snapshot, SolverOptions, SolverWorkspace, WarmStart,
 };
+use aqua_ml::work::par_map_indexed;
 use aqua_ml::Matrix;
 use aqua_net::{Network, NodeId};
 use aqua_telemetry::{MetricsSnapshot, TelemetryCtx};
@@ -393,8 +394,8 @@ impl<'a> DatasetBuilder<'a> {
             Some(ws) => {
                 // Re-seed from the baseline for *every* sample (not from
                 // the previous sample), so the result is a function of the
-                // sample alone and the corpus stays identical across
-                // thread counts and chunkings.
+                // sample alone and the corpus stays identical whichever
+                // worker solves which sample.
                 let base = baseline.at(t_before);
                 match base {
                     Some(base) => ws.set_warm_start(WarmStart::from_snapshot(base)),
@@ -470,11 +471,9 @@ impl<'a> DatasetBuilder<'a> {
             let _baseline_span = tel.span("sensing.baseline");
             self.baseline()?
         };
-        let threads = threads.max(1).min(n_samples.max(1));
         let build_start = tel.now_ns().unwrap_or(0);
 
-        let mut rows: Vec<Option<SampleRow>> = (0..n_samples).map(|_| None).collect();
-        let worker = |i: usize, mut ws: Option<&mut SolverWorkspace>| -> SampleRow {
+        let worker = |ws: &mut Option<SolverWorkspace>, i: usize| -> SampleRow {
             let mut stats = SampleStats::default();
             let sample_start = tel.now_ns();
             let mut attempt = 0usize;
@@ -491,7 +490,7 @@ impl<'a> DatasetBuilder<'a> {
                 let mut rng = StdRng::seed_from_u64(sample_seed);
                 let scenario = self.sampler.sample(&mut rng);
                 let solve_start = tel.now_ns();
-                match self.snapshots_for(&scenario, &baseline, ws.as_deref_mut(), tel) {
+                match self.snapshots_for(&scenario, &baseline, ws.as_mut(), tel) {
                     Ok((before, after, recoveries)) => {
                         if let (Some(t0), Some(t1)) = (solve_start, tel.now_ns()) {
                             stats.solve_ns += t1.saturating_sub(t0);
@@ -576,42 +575,16 @@ impl<'a> DatasetBuilder<'a> {
             }
         };
 
-        if threads == 1 {
-            let mut ws = self.warm_start.then(|| SolverWorkspace::new(self.net));
-            for (i, slot) in rows.iter_mut().enumerate() {
-                *slot = Some(worker(i, ws.as_mut()));
-            }
-        } else {
-            let chunk = n_samples.div_ceil(threads);
-            let scope = crossbeam::thread::scope(|s| {
-                for (t, slots) in rows.chunks_mut(chunk).enumerate() {
-                    let worker = &worker;
-                    let (warm, net) = (self.warm_start, self.net);
-                    s.spawn(move |_| {
-                        // One workspace per worker thread: symbolic setup
-                        // is paid once per thread, not once per sample.
-                        let mut ws = warm.then(|| SolverWorkspace::new(net));
-                        for (off, slot) in slots.iter_mut().enumerate() {
-                            *slot = Some(worker(t * chunk + off, ws.as_mut()));
-                        }
-                    });
-                }
-            });
-            if let Err(payload) = scope {
-                // A worker panicked (a bug, not a data condition): re-raise
-                // the original panic instead of masking it.
-                std::panic::resume_unwind(payload);
-            }
-        }
+        // One workspace per worker thread: symbolic setup is paid once per
+        // thread, not once per sample.
+        let workspace = || self.warm_start.then(|| SolverWorkspace::new(self.net));
+        let rows = par_map_indexed(n_samples, threads, workspace, worker);
 
         let mut x: Option<Matrix> = None;
         let mut scenarios = Vec::with_capacity(n_samples);
         let mut summary = BuildSummary::default();
         let (mut solve_ns, mut feature_ns) = (0u64, 0u64);
-        for slot in rows {
-            // Every slot is filled: the single-thread loop writes each one,
-            // and a panicking worker re-raises above before we get here.
-            let Some(row) = slot else { continue };
+        for row in rows {
             let (features, scenario, stats) = row?;
             if stats.resamples > 0 {
                 summary.resampled_slots += 1;

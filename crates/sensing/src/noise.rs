@@ -7,10 +7,9 @@
 use aqua_artifact::{ArtifactError, Codec, Reader, Writer};
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Additive Gaussian noise applied to sensor readings.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MeasurementNoise {
     /// Standard deviation of pressure readings, meters of water column.
     pub pressure_sigma: f64,

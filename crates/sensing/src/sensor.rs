@@ -5,11 +5,10 @@ use aqua_artifact::{ArtifactError, Codec, Reader, Writer};
 use aqua_net::{LinkId, Network, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// The deployed IoT devices: `A ⊆ V ∪ E` — "pressure head is measured on
 /// node while flow rate is measured on pipeline" (Sec. III-B).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SensorSet {
     /// Nodes carrying pressure transducers.
     pub pressure_nodes: Vec<NodeId>,

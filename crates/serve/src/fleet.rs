@@ -27,13 +27,13 @@
 //!
 //! [`Server`]: crate::Server
 
-use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use crate::sync::{Arc, Mutex};
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use aqua_telemetry::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use aqua_telemetry::sync::{Arc, Mutex, MutexGuard};
 use aqua_telemetry::{TelemetryCtx, TelemetryHub, Value};
 
 use crate::client;
@@ -110,7 +110,7 @@ impl BackendPool {
         }
     }
 
-    fn lock(&self) -> crate::sync::MutexGuard<'_, Vec<BackendHealth>> {
+    fn lock(&self) -> MutexGuard<'_, Vec<BackendHealth>> {
         self.backends.lock().unwrap_or_else(|p| p.into_inner())
     }
 

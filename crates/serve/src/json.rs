@@ -1,8 +1,8 @@
 //! A tiny JSON parser and string escaper for the serving endpoints.
 //!
-//! The workspace's vendored `serde` is a no-op marker shim, so the wire
-//! format is handled by hand: this module parses the small, flat payloads
-//! the ingest endpoint accepts and escapes strings on the way out.
+//! The workspace has no JSON library, so the wire format is handled by
+//! hand: this module parses the small, flat payloads the ingest endpoint
+//! accepts and escapes strings on the way out.
 //! Nesting is bounded (64 levels), so no body can recurse the parser off a
 //! worker's stack.
 

@@ -54,8 +54,8 @@ pub mod pool;
 pub mod router;
 mod routes;
 mod server;
-pub mod sync;
 pub mod vault;
+pub mod wire;
 
 pub use chaos::{Fault, FaultPlan};
 pub use fleet::{

@@ -7,8 +7,9 @@
 //! arrives or the queue is closed *and* drained, giving workers natural
 //! graceful-shutdown semantics.
 
-use crate::sync::{Condvar, Mutex};
 use std::collections::VecDeque;
+
+use aqua_telemetry::sync::{Condvar, Mutex, MutexGuard};
 
 struct Inner<T> {
     items: VecDeque<T>,
@@ -36,7 +37,7 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    fn lock(&self) -> crate::sync::MutexGuard<'_, Inner<T>> {
+    fn lock(&self) -> MutexGuard<'_, Inner<T>> {
         self.inner.lock().unwrap_or_else(|p| p.into_inner())
     }
 

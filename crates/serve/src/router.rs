@@ -18,10 +18,10 @@
 //! router's own account of the hop sequence, which `fig_observe` checks
 //! the stitched timeline against.
 
-use crate::sync::atomic::{AtomicU64, Ordering};
-use crate::sync::Arc;
 use std::io;
 
+use aqua_telemetry::sync::atomic::{AtomicU64, Ordering};
+use aqua_telemetry::sync::Arc;
 use aqua_telemetry::{TelemetryHub, TraceContext, Value};
 
 use crate::client::{self, RawResponse};

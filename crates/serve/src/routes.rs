@@ -22,14 +22,14 @@
 //! stamp it on their events, so a routed request's swap/restore/ingest
 //! activity joins its distributed trace.
 
-use crate::sync::OnceLock;
-
 use aqua_core::{checkpoint_meta, AquaError, SessionRegistry};
+use aqua_telemetry::sync::OnceLock;
 use aqua_telemetry::{TelemetryCtx, TelemetryHub, TraceContext, Value, FIELD_TRACE};
 
 use crate::http::{Request, Response};
-use crate::json::{escape, num, Json};
+use crate::json::{escape, Json};
 use crate::vault::ModelVault;
+use crate::wire;
 
 /// Routes one request to its handler. `trace` is the server-side context
 /// of the request (parsed from `x-aqua-trace`), `None` for untraced
@@ -329,41 +329,8 @@ fn restore(
     }
 }
 
-/// One validated ingest batch: `(slot time, per-channel readings)`.
-type Batch = (u64, Vec<Option<f64>>);
-
-fn parse_batches(body: &[u8]) -> Result<Vec<Batch>, String> {
-    let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_string())?;
-    let doc = Json::parse(text).map_err(|e| format!("bad JSON: {e}"))?;
-    let batches = doc
-        .get("batches")
-        .and_then(Json::as_arr)
-        .ok_or("missing \"batches\" array")?;
-    let mut out = Vec::with_capacity(batches.len());
-    for (i, batch) in batches.iter().enumerate() {
-        let time = batch
-            .get("time")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("batch {i}: missing or invalid \"time\""))?;
-        let readings = batch
-            .get("readings")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| format!("batch {i}: missing \"readings\" array"))?;
-        let mut values = Vec::with_capacity(readings.len());
-        for (ch, reading) in readings.iter().enumerate() {
-            values.push(match reading {
-                Json::Null => None,
-                Json::Num(v) => Some(*v),
-                _ => return Err(format!("batch {i}: reading {ch} is not a number or null")),
-            });
-        }
-        out.push((time, values));
-    }
-    Ok(out)
-}
-
 fn ingest(req: &Request, id: &str, registry: &SessionRegistry, tel: TelemetryCtx<'_>) -> Response {
-    let batches = match parse_batches(&req.body) {
+    let batches = match wire::parse_batches(&req.body) {
         Ok(batches) => batches,
         Err(reason) => return Response::error(400, &reason),
     };
@@ -394,41 +361,7 @@ fn ingest(req: &Request, id: &str, registry: &SessionRegistry, tel: TelemetryCtx
 }
 
 fn detections(id: &str, registry: &SessionRegistry) -> Response {
-    let body = registry.with_session(id, |session| {
-        let mut entries = Vec::with_capacity(session.detections().len());
-        for d in session.detections() {
-            let nodes: Vec<String> = d
-                .leak_nodes
-                .iter()
-                .map(|&n| escape(&session.network().node(n).name))
-                .collect();
-            let quarantined: Vec<String> = d.quarantined.iter().map(|q| q.to_string()).collect();
-            entries.push(format!(
-                "{{\"time\":{},\"leak_nodes\":[{}],\"latency_s\":{},\"quarantined\":[{}]}}",
-                d.time,
-                nodes.join(","),
-                num(d.latency.as_secs_f64()),
-                quarantined.join(",")
-            ));
-        }
-        let quarantined: Vec<String> = session
-            .state()
-            .quarantined_channels()
-            .iter()
-            .map(|q| q.to_string())
-            .collect();
-        format!(
-            "{{\"session\":{},\"network\":{},\"slots\":{},\"channels\":{},\
-             \"quarantined\":[{}],\"detections\":[{}]}}",
-            escape(id),
-            escape(session.network().name()),
-            session.state().slots_observed(),
-            session.channels(),
-            quarantined.join(","),
-            entries.join(",")
-        )
-    });
-    match body {
+    match registry.with_session(id, |session| wire::detections_body(id, session)) {
         None => Response::error(404, &format!("no session {id:?}")),
         Some(body) => Response::json(200, body),
     }

@@ -9,14 +9,14 @@
 //! connections, queued requests drain through the workers, then the
 //! threads join.
 
-use crate::sync::atomic::{AtomicBool, Ordering};
-use crate::sync::Arc;
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use aqua_core::SessionRegistry;
+use aqua_telemetry::sync::atomic::{AtomicBool, Ordering};
+use aqua_telemetry::sync::Arc;
 use aqua_telemetry::{TelemetryHub, Value};
 
 use crate::http::{self, ReadError, Response};

@@ -12,13 +12,13 @@
 //! validated by [`ModelHandle::install`] — fail-closed, the previous model
 //! keeps serving on any rejection.
 
-use crate::sync::{Arc, Mutex};
 use std::collections::BTreeMap;
 
 use aqua_core::{
     AquaError, AquaScaleConfig, HostedSession, ModelHandle, ProfileArtifact, ProfileModel,
 };
 use aqua_net::Network;
+use aqua_telemetry::sync::{Arc, Mutex, MutexGuard};
 
 #[derive(Clone)]
 struct Tenant {
@@ -38,7 +38,7 @@ impl ModelVault {
         ModelVault::default()
     }
 
-    fn lock(&self) -> crate::sync::MutexGuard<'_, BTreeMap<String, Tenant>> {
+    fn lock(&self) -> MutexGuard<'_, BTreeMap<String, Tenant>> {
         self.tenants.lock().unwrap_or_else(|p| p.into_inner())
     }
 

@@ -7,6 +7,7 @@ use std::sync::Arc;
 use aqua_core::{AquaScale, AquaScaleConfig, ProfileArtifact, SessionRegistry};
 use aqua_net::{synth, Network};
 use aqua_serve::fleet::{BackendPool, BackendSpec, HealthCheckPolicy, HealthChecker};
+use aqua_serve::wire::{ingest_body, parse_detections, session_detections};
 use aqua_serve::{chaos, client, FaultPlan, ModelVault, ServeConfig, Server};
 use aqua_telemetry::{TelemetryCtx, TelemetryHub};
 
@@ -89,23 +90,6 @@ fn reading_trace(net: &Network, slots: u64) -> Vec<(u64, Vec<Option<f64>>)> {
             (t, readings)
         })
         .collect()
-}
-
-fn ingest_body(batches: &[(u64, Vec<Option<f64>>)]) -> String {
-    let entries: Vec<String> = batches
-        .iter()
-        .map(|(t, readings)| {
-            let vals: Vec<String> = readings
-                .iter()
-                .map(|r| match r {
-                    Some(v) => format!("{v}"),
-                    None => "null".to_string(),
-                })
-                .collect();
-            format!("{{\"time\":{t},\"readings\":[{}]}}", vals.join(","))
-        })
-        .collect();
-    format!("{{\"batches\":[{}]}}", entries.join(","))
 }
 
 #[test]
@@ -277,36 +261,8 @@ fn killed_replica_sessions_resume_on_a_peer_bit_identically() {
     // The resumed session's detections match the uninterrupted run.
     let detections = client::get(addr_b, "/v1/sessions/s1/detections").unwrap();
     assert_eq!(detections.status, 200);
-    let doc = detections.json().unwrap();
-    let served: Vec<(u64, Vec<String>)> = doc
-        .get("detections")
-        .and_then(|d| d.as_arr())
-        .expect("detections array")
-        .iter()
-        .map(|d| {
-            let time = d.get("time").and_then(|t| t.as_u64()).unwrap();
-            let names = d
-                .get("leak_nodes")
-                .and_then(|n| n.as_arr())
-                .unwrap()
-                .iter()
-                .map(|n| n.as_str().unwrap().to_string())
-                .collect();
-            (time, names)
-        })
-        .collect();
-    let expected: Vec<(u64, Vec<String>)> = reference
-        .detections()
-        .iter()
-        .map(|d| {
-            let names = d
-                .leak_nodes
-                .iter()
-                .map(|&n| net.node(n).name.clone())
-                .collect();
-            (d.time, names)
-        })
-        .collect();
+    let served = parse_detections(&detections.body).unwrap();
+    let expected = session_detections(&reference);
     assert!(!expected.is_empty(), "trace must detect the leak");
     assert_eq!(
         served, expected,

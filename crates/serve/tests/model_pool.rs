@@ -6,7 +6,7 @@
 //! RUSTFLAGS="--cfg aqua_model_check" cargo test -p aqua-serve --test model_pool
 //! ```
 //!
-//! Under that cfg the crate's sync facade resolves to the `interlock`
+//! Under that cfg the `aqua_telemetry::sync` facade resolves to the `interlock`
 //! deterministic scheduler, so `Explorer::exhaustive()` enumerates every
 //! interleaving of the queue's lock/condvar protocol. The invariants:
 //! no deadlock (in particular, no lost wakeup between `try_push`'s notify

@@ -13,7 +13,7 @@ use aqua_net::synth;
 use aqua_serve::fleet::{
     BackendPool, BackendSpec, BackendState, HealthCheckPolicy, ServiceRegistry,
 };
-use aqua_serve::{client, Fault, FaultPlan, ModelVault, Router, ServeConfig, Server};
+use aqua_serve::{client, wire, Fault, FaultPlan, ModelVault, Router, ServeConfig, Server};
 use aqua_telemetry::{
     Event, TelemetryHub, TraceContext, TraceStitcher, Value, FIELD_SPAN, FIELD_TRACE,
 };
@@ -157,11 +157,7 @@ fn traces_endpoint_returns_one_requests_events() {
     .expect("bind");
     let addr = server.local_addr();
 
-    let readings: Vec<String> = (0..channels).map(|_| "1.0".to_string()).collect();
-    let body = format!(
-        "{{\"batches\":[{{\"time\":900,\"readings\":[{}]}}]}}",
-        readings.join(",")
-    );
+    let body = wire::ingest_body(&[(900, vec![Some(1.0); channels])]);
 
     let client_hub = TelemetryHub::new();
     let root = TraceContext::root(0xC0FFEE, 1);

@@ -7,6 +7,7 @@ use std::time::{Duration, Instant};
 use aqua_core::{AquaScale, AquaScaleConfig, HostedSession, ProfileArtifact, SessionRegistry};
 use aqua_hydraulics::{solve_snapshot, LeakEvent, Scenario, SolverOptions};
 use aqua_net::synth;
+use aqua_serve::wire::{ingest_body, parse_detections, session_detections};
 use aqua_serve::{client, ServeConfig, Server};
 use aqua_telemetry::{TelemetryCtx, TelemetryHub};
 
@@ -79,10 +80,8 @@ fn bad_requests_get_4xx_not_hangs() {
     assert_eq!(resp.status, 400);
     assert!(resp.body.contains("expected"));
     // Oversized body.
-    let big = format!(
-        "{{\"batches\":[{{\"time\":0,\"readings\":[{}]}}]}}",
-        vec!["1.0"; 400].join(",")
-    );
+    let big = ingest_body(&[(0, vec![Some(1.5); 400])]);
+    assert!(big.len() > 1024);
     let resp = client::post_json(addr, "/v1/sessions/epa/ingest", &big).unwrap();
     assert_eq!(resp.status, 413);
 
@@ -141,23 +140,6 @@ fn reading_trace(session: &HostedSession, slots: u64) -> Vec<(u64, Vec<Option<f6
         .collect()
 }
 
-fn ingest_body(batches: &[(u64, Vec<Option<f64>>)]) -> String {
-    let entries: Vec<String> = batches
-        .iter()
-        .map(|(t, readings)| {
-            let vals: Vec<String> = readings
-                .iter()
-                .map(|r| match r {
-                    Some(v) => format!("{v}"),
-                    None => "null".to_string(),
-                })
-                .collect();
-            format!("{{\"time\":{t},\"readings\":[{}]}}", vals.join(","))
-        })
-        .collect();
-    format!("{{\"batches\":[{}]}}", entries.join(","))
-}
-
 #[test]
 fn http_ingest_matches_in_process_detections() {
     // Two identically-trained sessions (training is seeded, so two builds
@@ -185,31 +167,13 @@ fn http_ingest_matches_in_process_detections() {
 
     let detections = client::get(addr, "/v1/sessions/epa/detections").unwrap();
     assert_eq!(detections.status, 200);
-    let doc = detections.json().unwrap();
-    let served_detections = doc.get("detections").unwrap().as_arr().unwrap();
+    let expected = session_detections(&reference);
+    assert!(!expected.is_empty(), "trace must detect the leak");
     assert_eq!(
-        served_detections.len(),
-        reference.detections().len(),
-        "HTTP and in-process detection counts must agree"
+        parse_detections(&detections.body).unwrap(),
+        expected,
+        "HTTP and in-process detections must agree"
     );
-    let net = synth::epa_net();
-    for (served_d, ref_d) in served_detections.iter().zip(reference.detections()) {
-        assert_eq!(served_d.get("time").unwrap().as_u64(), Some(ref_d.time));
-        let names: Vec<&str> = served_d
-            .get("leak_nodes")
-            .unwrap()
-            .as_arr()
-            .unwrap()
-            .iter()
-            .map(|n| n.as_str().unwrap())
-            .collect();
-        let expected: Vec<String> = ref_d
-            .leak_nodes
-            .iter()
-            .map(|&n| net.node(n).name.clone())
-            .collect();
-        assert_eq!(names, expected);
-    }
 
     server.shutdown();
 }

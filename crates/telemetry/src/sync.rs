@@ -1,7 +1,7 @@
-//! Crate-local synchronization facade.
+//! The workspace's one synchronization facade.
 //!
-//! All lock, condvar, and atomic types used by this crate come through this
-//! module (enforced by `aqua-audit`'s `raw-sync` rule). Normal builds
+//! All lock, condvar, and atomic types used by library code come through
+//! this module (enforced by `aqua-audit`'s `raw-sync` rule). Normal builds
 //! resolve to `std::sync` with zero overhead; under
 //! `RUSTFLAGS="--cfg aqua_model_check"` the same names resolve to the
 //! `interlock` shims, whose deterministic scheduler lets the `model_*` test

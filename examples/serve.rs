@@ -12,7 +12,7 @@ use aquascale::core::{
 use aquascale::hydraulics::{solve_snapshot, LeakEvent, Scenario, SolverOptions};
 use aquascale::ml::ModelKind;
 use aquascale::net::synth;
-use aquascale::serve::{client, ServeConfig, Server};
+use aquascale::serve::{client, wire, ServeConfig, Server};
 use aquascale::telemetry::TelemetryHub;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -65,17 +65,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for slot in 0..=10u64 {
         let t = slot * 900;
         let snap = solve_snapshot(&net, &scenario, t, &SolverOptions::default())?;
-        let readings: Vec<String> = sensors
+        let readings: Vec<Option<f64>> = sensors
             .pressure_nodes
             .iter()
-            .map(|&n| snap.pressure(n))
-            .chain(sensors.flow_links.iter().map(|&l| snap.flow(l)))
-            .map(|v| format!("{v}"))
+            .map(|&n| Some(snap.pressure(n)))
+            .chain(sensors.flow_links.iter().map(|&l| Some(snap.flow(l))))
             .collect();
-        let body = format!(
-            "{{\"batches\":[{{\"time\":{t},\"readings\":[{}]}}]}}",
-            readings.join(",")
-        );
+        let body = wire::ingest_body(&[(t, readings)]);
         let resp = client::post_json(addr, "/v1/sessions/epa/ingest", &body)?;
         assert_eq!(resp.status, 200, "{}", resp.body);
     }
