@@ -65,6 +65,11 @@ fn hybrid_rsl_profile_bytes_are_pinned() {
 }
 
 #[test]
+fn svm_profile_bytes_are_pinned() {
+    assert_eq!(artifact_digest(ModelKind::svm()), 0x9e6a_1603_e0fb_2793);
+}
+
+#[test]
 fn gradient_boosting_profile_bytes_are_pinned() {
     assert_eq!(
         artifact_digest(ModelKind::gradient_boosting()),

@@ -111,6 +111,13 @@ fn hybrid_rsl_is_thread_invariant() {
     assert_thread_invariant(ModelKind::hybrid_rsl());
 }
 
+/// The Pegasos SVM alone: per-output shuffles seeded from the output
+/// index, whichever worker fits the output.
+#[test]
+fn svm_is_thread_invariant() {
+    assert_thread_invariant(ModelKind::svm());
+}
+
 /// Random forest alone: many trees per output, per-tree seeds derived from
 /// the per-output seed.
 #[test]
