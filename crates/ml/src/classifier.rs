@@ -266,6 +266,48 @@ impl ModelKind {
         }
     }
 
+    /// Fits outputs `first..first + labels.len()` of a bank on the shared
+    /// `x`, output `v` seeded `seed + v`, from `prep` (see
+    /// [`prepare`](Self::prepare)). Each result is exactly the model
+    /// [`build`](Self::build)`(seed + v)` then
+    /// [`Classifier::fit_prepared`] gives. The families with an SVM step
+    /// their outputs' Pegasos lanes together; the rest fit each output in
+    /// turn.
+    pub(crate) fn fit_block(
+        &self,
+        x: &Matrix,
+        labels: &[Vec<u8>],
+        first: usize,
+        seed: u64,
+        prep: &Prepared,
+    ) -> Vec<Result<Box<dyn Classifier>, MlError>> {
+        let seeds: Vec<u64> = (first..first + labels.len())
+            .map(|v| seed.wrapping_add(v as u64))
+            .collect();
+        let ys: Vec<&[u8]> = labels.iter().map(Vec::as_slice).collect();
+        fn boxed<C: Classifier + 'static>(
+            fits: Vec<Result<C, MlError>>,
+        ) -> Vec<Result<Box<dyn Classifier>, MlError>> {
+            fits.into_iter()
+                .map(|fit| fit.map(|model| Box::new(model) as Box<dyn Classifier>))
+                .collect()
+        }
+        match self {
+            ModelKind::Svm { config } => boxed(LinearSvm::fit_block(config, x, &ys, &seeds)),
+            ModelKind::HybridRsl { config } => {
+                boxed(HybridRsl::fit_block(config, x, &ys, &seeds, prep))
+            }
+            _ => seeds
+                .iter()
+                .zip(ys)
+                .map(|(&seed, y)| {
+                    let mut model = self.build(seed);
+                    model.fit_prepared(x, y, prep).map(|()| model)
+                })
+                .collect(),
+        }
+    }
+
     /// Decodes one classifier of this family from bytes produced by
     /// [`Classifier::encode_state`]. The encoded state carries its own
     /// hyperparameters, so only the family dispatch comes from `self`.
@@ -348,11 +390,24 @@ impl Codec for ModelKind {
 
 /// Shared helpers for the model implementations.
 pub(crate) mod util {
+    use aqua_artifact::{ArtifactError, Codec, Reader};
     use rand::rngs::StdRng;
     use rand::Rng;
 
     use crate::error::MlError;
     use crate::matrix::Matrix;
+
+    /// Decodes a linear model's `[weights... bias]`: `None` while unfitted,
+    /// else at least the bias, which every predict reads.
+    pub fn decode_linear_weights(r: &mut Reader<'_>) -> Result<Option<Vec<f64>>, ArtifactError> {
+        let weights: Option<Vec<f64>> = Codec::decode(r)?;
+        if weights.as_ref().is_some_and(Vec::is_empty) {
+            return Err(ArtifactError::Malformed {
+                reason: "fitted linear model without a bias weight".into(),
+            });
+        }
+        Ok(weights)
+    }
 
     /// Numerically-stable logistic sigmoid.
     #[inline]
