@@ -2,7 +2,7 @@
 
 use aqua_artifact::{ArtifactError, Codec, Reader, Writer};
 
-use crate::classifier::util::{check_fit, check_predict, sigmoid};
+use crate::classifier::util::{check_fit, check_predict, decode_linear_weights, sigmoid};
 use crate::classifier::{Classifier, Prepared};
 use crate::dense::Cholesky;
 use crate::error::MlError;
@@ -151,7 +151,7 @@ impl Codec for LinearRegressionClassifier {
     fn decode(r: &mut Reader<'_>) -> Result<Self, ArtifactError> {
         Ok(LinearRegressionClassifier {
             ridge: r.f64()?,
-            weights: Codec::decode(r)?,
+            weights: decode_linear_weights(r)?,
         })
     }
 }
@@ -311,7 +311,7 @@ impl Codec for LogisticRegression {
     fn decode(r: &mut Reader<'_>) -> Result<Self, ArtifactError> {
         Ok(LogisticRegression {
             config: Codec::decode(r)?,
-            weights: Codec::decode(r)?,
+            weights: decode_linear_weights(r)?,
         })
     }
 }
@@ -428,6 +428,47 @@ mod tests {
             .predict_proba(&Matrix::from_rows(&[&[2.0]]))
             .unwrap();
         assert!(p[0] > 0.5, "balanced model must catch the minority class");
+    }
+
+    /// Decodes `model`'s encoding as `M`.
+    fn round_trip<M: Codec>(model: &M) -> Result<M, ArtifactError> {
+        let mut w = Writer::new();
+        model.encode(&mut w);
+        let bytes = w.into_bytes();
+        M::decode(&mut Reader::new(&bytes))
+    }
+
+    #[test]
+    fn linear_r_decode_refuses_fitted_weights_without_a_bias() {
+        let empty = LinearRegressionClassifier {
+            weights: Some(Vec::new()),
+            ..LinearRegressionClassifier::default()
+        };
+        assert!(matches!(
+            round_trip(&empty),
+            Err(ArtifactError::Malformed { .. })
+        ));
+        let bias_only = LinearRegressionClassifier {
+            weights: Some(vec![0.5]),
+            ..LinearRegressionClassifier::default()
+        };
+        assert_eq!(round_trip(&bias_only).unwrap().weights, Some(vec![0.5]));
+    }
+
+    #[test]
+    fn logistic_r_decode_refuses_fitted_weights_without_a_bias() {
+        let empty = LogisticRegression {
+            weights: Some(Vec::new()),
+            ..LogisticRegression::default()
+        };
+        assert!(matches!(
+            round_trip(&empty),
+            Err(ArtifactError::Malformed { .. })
+        ));
+        assert_eq!(
+            round_trip(&LogisticRegression::default()).unwrap().weights,
+            None
+        );
     }
 
     #[test]
