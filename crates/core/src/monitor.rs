@@ -429,30 +429,40 @@ mod tests {
     use aqua_ml::ModelKind;
     use aqua_net::synth;
     use aqua_sensing::{FeatureConfig, MeasurementNoise};
+    use aqua_telemetry::sync::OnceLock;
 
-    fn trained() -> (aqua_net::Network, AquaScaleConfig) {
-        let net = synth::epa_net();
-        let config = AquaScaleConfig {
-            model: ModelKind::logistic_r(),
-            train_samples: 800,
-            max_events: 2,
-            features: FeatureConfig {
-                noise: MeasurementNoise::none(),
-                include_topology: false,
+    /// The noise-free EPA-NET LogisticR profile the session tests share,
+    /// trained once: its 800-sample corpus is most of this module's test
+    /// time, and training is deterministic.
+    fn trained() -> &'static (aqua_net::Network, AquaScaleConfig, ProfileModel) {
+        static TRAINED: OnceLock<(aqua_net::Network, AquaScaleConfig, ProfileModel)> =
+            OnceLock::new();
+        TRAINED.get_or_init(|| {
+            let net = synth::epa_net();
+            let config = AquaScaleConfig {
+                model: ModelKind::logistic_r(),
+                train_samples: 800,
+                max_events: 2,
+                features: FeatureConfig {
+                    noise: MeasurementNoise::none(),
+                    include_topology: false,
+                    ..Default::default()
+                },
+                threads: 4,
                 ..Default::default()
-            },
-            threads: 4,
-            ..Default::default()
-        };
-        (net, config)
+            };
+            let profile = AquaScale::new(&net, config.clone())
+                .train_profile()
+                .unwrap();
+            (net, config, profile)
+        })
     }
 
     #[test]
     fn session_detects_mid_stream_leak_quickly() {
-        let (net, config) = trained();
-        let aqua = AquaScale::new(&net, config);
-        let profile = aqua.train_profile().unwrap();
-        let mut session = MonitoringSession::new(&aqua, &profile, 5);
+        let (net, config, profile) = trained();
+        let aqua = AquaScale::new(net, config.clone());
+        let mut session = MonitoringSession::new(&aqua, profile, 5);
 
         // Leak starts at slot 8 of a 16-slot window.
         let leak_node = net.junction_ids()[33];
@@ -475,10 +485,9 @@ mod tests {
 
     #[test]
     fn quiet_network_stays_mostly_quiet() {
-        let (net, config) = trained();
-        let aqua = AquaScale::new(&net, config);
-        let profile = aqua.train_profile().unwrap();
-        let mut session = MonitoringSession::new(&aqua, &profile, 6);
+        let (net, config, profile) = trained();
+        let aqua = AquaScale::new(net, config.clone());
+        let mut session = MonitoringSession::new(&aqua, profile, 6);
         let hit = session
             .run_scenario(&Scenario::default(), 10, 900, &SolverOptions::default())
             .unwrap();
@@ -493,12 +502,10 @@ mod tests {
 
     #[test]
     fn first_observation_yields_no_inference() {
-        let (net, config) = trained();
-        let aqua = AquaScale::new(&net, config);
-        let profile = aqua.train_profile().unwrap();
-        let mut session = MonitoringSession::new(&aqua, &profile, 7);
-        let snap =
-            solve_snapshot(&net, &Scenario::default(), 0, &SolverOptions::default()).unwrap();
+        let (net, config, profile) = trained();
+        let aqua = AquaScale::new(net, config.clone());
+        let mut session = MonitoringSession::new(&aqua, profile, 7);
+        let snap = solve_snapshot(net, &Scenario::default(), 0, &SolverOptions::default()).unwrap();
         let out = session
             .observe(snap, &ExternalObservations::none())
             .unwrap();
@@ -510,17 +517,16 @@ mod tests {
         // The serving ingest path and the snapshot path must agree exactly
         // when fed the same measured values. Noiseless config: `observe`
         // adds no noise, so the raw sensor values ARE the measurements.
-        let (net, config) = trained();
-        let aqua = AquaScale::new(&net, config);
-        let profile = aqua.train_profile().unwrap();
-        let mut by_snapshot = MonitoringSession::new(&aqua, &profile, 5);
-        let mut by_readings = MonitoringSession::new(&aqua, &profile, 5);
+        let (net, config, profile) = trained();
+        let aqua = AquaScale::new(net, config.clone());
+        let mut by_snapshot = MonitoringSession::new(&aqua, profile, 5);
+        let mut by_readings = MonitoringSession::new(&aqua, profile, 5);
 
         let leak_node = net.junction_ids()[33];
         let scenario = Scenario::new().with_leak(LeakEvent::new(leak_node, 0.015, 4 * 900));
         for slot in 0..=8u64 {
             let t = slot * 900;
-            let snap = solve_snapshot(&net, &scenario, t, &SolverOptions::default()).unwrap();
+            let snap = solve_snapshot(net, &scenario, t, &SolverOptions::default()).unwrap();
             let readings: Vec<Option<f64>> = profile
                 .sensors
                 .pressure_nodes
@@ -581,10 +587,9 @@ mod tests {
 
     #[test]
     fn dead_sensor_is_quarantined_and_detections_still_fire() {
-        let (net, config) = trained();
-        let aqua = AquaScale::new(&net, config);
-        let profile = aqua.train_profile().unwrap();
-        let mut session = MonitoringSession::new(&aqua, &profile, 5);
+        let (net, config, profile) = trained();
+        let aqua = AquaScale::new(net, config.clone());
+        let mut session = MonitoringSession::new(&aqua, profile, 5);
         // Take one pressure channel fully offline before the stream starts.
         session.kill_sensor(0);
 
@@ -647,9 +652,8 @@ mod tests {
 
     #[test]
     fn malicious_campaign_is_quarantined_within_policy_windows() {
-        let (net, config) = trained();
-        let aqua = AquaScale::new(&net, config);
-        let profile = aqua.train_profile().unwrap();
+        let (net, config, profile) = trained();
+        let aqua = AquaScale::new(net, config.clone());
         let faults = FaultModel {
             malicious_rate: 0.15,
             malicious_onset: 2,
@@ -670,7 +674,7 @@ mod tests {
         // so sticky quarantine must isolate every compromised channel
         // within `max_implausible` observation windows of the onset.
         let policy_windows = HealthPolicy::default().max_implausible;
-        let mut short = MonitoringSession::with_faults(&aqua, &profile, 5, faults);
+        let mut short = MonitoringSession::with_faults(&aqua, profile, 5, faults);
         short
             .run_scenario(
                 &Scenario::default(),
@@ -687,7 +691,7 @@ mod tests {
 
         // Detections keep flowing on the surviving sensors: the same
         // campaign with a mid-stream leak still localizes it.
-        let mut session = MonitoringSession::with_faults(&aqua, &profile, 5, faults);
+        let mut session = MonitoringSession::with_faults(&aqua, profile, 5, faults);
         let leak_node = net.junction_ids()[33];
         let scenario = Scenario::new().with_leak(LeakEvent::new(leak_node, 0.02, 8 * 900));
         let hit = session
@@ -738,15 +742,14 @@ mod tests {
 
     #[test]
     fn dropout_degrades_gracefully_without_errors() {
-        let (net, config) = trained();
-        let aqua = AquaScale::new(&net, config);
-        let profile = aqua.train_profile().unwrap();
+        let (net, config, profile) = trained();
+        let aqua = AquaScale::new(net, config.clone());
         let faults = FaultModel {
             dropout_rate: 0.2,
             seed: 11,
             ..FaultModel::none()
         };
-        let mut session = MonitoringSession::with_faults(&aqua, &profile, 5, faults);
+        let mut session = MonitoringSession::with_faults(&aqua, profile, 5, faults);
         let leak_node = net.junction_ids()[33];
         let scenario = Scenario::new().with_leak(LeakEvent::new(leak_node, 0.015, 8 * 900));
         // Must complete without error; detection is best-effort under 20%
