@@ -9,8 +9,8 @@
 //!
 //! [`par_map_indexed`] is built on that queue. Its callers are Algorithm
 //! 1's two index maps, the corpus build (simulate scenario `i`) and the
-//! junction-bank fit (fit `f_v` for junction `v`), plus the campaign
-//! render (solve slot `i`).
+//! junction-bank fit (fit `f_v` for the four junctions `v` of block `b`),
+//! plus the campaign render (solve slot `i`).
 
 use aqua_telemetry::sync::atomic::{AtomicUsize, Ordering};
 use aqua_telemetry::sync::Mutex;
