@@ -87,25 +87,6 @@ pub fn bench_envelope(bench: &str, wall_clock_s: f64, metrics: &str) -> String {
     )
 }
 
-/// Like [`bench_envelope`] but recording how many samples back the
-/// latency claims: `{"bench", "commit", "wall_clock_s", "sample_count",
-/// "metrics"}`. Smoke-scale runs report single-digit request counts, and
-/// a "p99" from 9 samples is just the max wearing a costume — downstream
-/// tooling needs the count to judge the quantiles.
-pub fn bench_envelope_with_samples(
-    bench: &str,
-    wall_clock_s: f64,
-    sample_count: usize,
-    metrics: &str,
-) -> String {
-    format!(
-        "{{\n  \"bench\": {bench:?},\n  \"commit\": {:?},\n  \
-         \"wall_clock_s\": {wall_clock_s:.3},\n  \"sample_count\": {sample_count},\n  \
-         \"metrics\": {metrics}\n}}\n",
-        commit_hash()
-    )
-}
-
 /// Writes the enveloped bench payload to `file`.
 ///
 /// # Panics
@@ -114,64 +95,6 @@ pub fn bench_envelope_with_samples(
 pub fn write_bench_json(file: &str, bench: &str, wall_clock_s: f64, metrics: &str) {
     std::fs::write(file, bench_envelope(bench, wall_clock_s, metrics))
         .unwrap_or_else(|e| panic!("write {file}: {e}"));
-}
-
-/// Writes the sample-counted envelope ([`bench_envelope_with_samples`])
-/// to `file`.
-///
-/// # Panics
-///
-/// Panics when the file cannot be written (benches want loud failures).
-pub fn write_bench_json_with_samples(
-    file: &str,
-    bench: &str,
-    wall_clock_s: f64,
-    sample_count: usize,
-    metrics: &str,
-) {
-    std::fs::write(
-        file,
-        bench_envelope_with_samples(bench, wall_clock_s, sample_count, metrics),
-    )
-    .unwrap_or_else(|e| panic!("write {file}: {e}"));
-}
-
-/// Minimum sample count for an honest p99: below this, a 99th percentile
-/// is statistically meaningless (the top 1% is less than one sample).
-pub const P99_MIN_SAMPLES: usize = 100;
-
-/// An honest tail statistic over `samples` (sorted in place): labeled
-/// `"p99"` when there are at least [`P99_MIN_SAMPLES`] observations,
-/// otherwise the maximum labeled `"p_max"` — small runs must not claim a
-/// quantile they cannot support.
-///
-/// # Panics
-///
-/// Panics on an empty slice.
-pub fn tail_quantile(samples: &mut [f64]) -> (&'static str, f64) {
-    assert!(!samples.is_empty(), "tail_quantile of no samples");
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    if samples.len() >= P99_MIN_SAMPLES {
-        let rank = ((samples.len() as f64) * 0.99).ceil() as usize - 1;
-        ("p99", samples[rank.min(samples.len() - 1)])
-    } else {
-        ("p_max", samples[samples.len() - 1])
-    }
-}
-
-/// Resolves the path for an auxiliary bench artifact (traces, event
-/// streams, per-run logs — anything that is not the top-level
-/// `BENCH_*.json` envelope), creating `bench_output/` on first use. Keeps
-/// the repo root reserved for the enveloped JSON summaries.
-///
-/// # Panics
-///
-/// Panics when `bench_output/` cannot be created (benches want loud
-/// failures).
-pub fn aux_artifact_path(name: &str) -> std::path::PathBuf {
-    let dir = std::path::Path::new("bench_output");
-    std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("create {}: {e}", dir.display()));
-    dir.join(name)
 }
 
 #[cfg(test)]
@@ -205,34 +128,7 @@ mod tests {
     }
 
     #[test]
-    fn sample_counted_envelope_carries_the_count() {
-        let json = bench_envelope_with_samples("fig_example", 1.5, 9, "{}");
-        assert!(json.contains("\"sample_count\": 9"));
-        assert!(json.contains("\"bench\": \"fig_example\""));
-    }
-
-    #[test]
-    fn small_runs_report_p_max_not_p99() {
-        let mut nine: Vec<f64> = (1..=9).map(|i| i as f64).collect();
-        assert_eq!(tail_quantile(&mut nine), ("p_max", 9.0));
-        let mut hundred: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-        let (label, v) = tail_quantile(&mut hundred);
-        assert_eq!(label, "p99");
-        assert_eq!(v, 99.0);
-    }
-
-    #[test]
     fn commit_hash_is_never_empty() {
         assert!(!commit_hash().is_empty());
-    }
-
-    #[test]
-    fn aux_artifacts_land_under_bench_output() {
-        let path = aux_artifact_path("unit_test_probe.txt");
-        assert_eq!(
-            path,
-            std::path::Path::new("bench_output/unit_test_probe.txt")
-        );
-        assert!(path.parent().unwrap().is_dir());
     }
 }

@@ -32,11 +32,6 @@ pub struct AquaScaleConfig {
     pub features: FeatureConfig,
     /// Hydraulic solver options.
     pub solver: SolverOptions,
-    /// Warm-start scenario solves from the cached leak-free baseline via
-    /// per-thread solver workspaces (default on; see
-    /// [`DatasetBuilder::warm_start`]). Disable to reproduce the cold-solve
-    /// control arm of the `fig_perf_warmstart` bench.
-    pub warm_start: bool,
     /// Fusion knobs (Γ threshold, p(leak|freeze)).
     pub tuning: TuningConfig,
     /// Training/generation parallelism.
@@ -56,7 +51,6 @@ impl Default for AquaScaleConfig {
             elapsed_slots: 1,
             features: FeatureConfig::default(),
             solver: SolverOptions::default(),
-            warm_start: true,
             tuning: TuningConfig::default(),
             threads: 4,
             seed: 42,
@@ -216,7 +210,6 @@ impl<'a> AquaScale<'a> {
             .elapsed_slots(self.config.elapsed_slots)
             .feature_config(self.config.features)
             .solver_options(self.config.solver.clone())
-            .warm_start(self.config.warm_start)
             .telemetry(tel)
     }
 
@@ -523,6 +516,38 @@ mod tests {
                 .filter(|e| e.name == "ml.train.output")
                 .count(),
             91
+        );
+    }
+
+    #[test]
+    fn binned_gradient_boosting_scores_within_002_of_exact_splits() {
+        // One corpus shared by both arms, so only the trainer differs. At
+        // 160 scenarios the 20% holdout keeps about one positive per
+        // junction, below `MIN_HOLDOUT_MINORITY`, so early stopping stays
+        // off and the arms differ in split finding alone.
+        let net = synth::epa_net();
+        let rig = AquaScale::new(&net, AquaScaleConfig::default());
+        let train = rig.generate_dataset(160, 42).unwrap();
+        let held_out = rig.generate_dataset(60, 0xE7A1).unwrap();
+        let score = |model: ModelKind| {
+            let aqua = AquaScale::new(
+                &net,
+                AquaScaleConfig {
+                    model,
+                    ..Default::default()
+                },
+            );
+            let profile = aqua.train_profile_on(&train).unwrap();
+            let pred = aqua.predict_batch(&profile, &held_out.x).unwrap();
+            hamming_score(&pred, &held_out.labels)
+        };
+        let exact = score(ModelKind::GradientBoosting {
+            config: aqua_ml::GradientBoostingConfig::exact_reference(),
+        });
+        let binned = score(ModelKind::gradient_boosting());
+        assert!(
+            binned >= exact - 0.02,
+            "binned {binned} vs exact {exact} held-out hamming"
         );
     }
 

@@ -27,8 +27,8 @@ const MIN_EARLY_STOP_SAMPLES: usize = 20;
 /// many samples of its minority class. Per-node leak labels are heavily
 /// imbalanced (a ~300-junction network puts ~1% positives on each output),
 /// and validation log-loss over a handful of positives is pure noise — it
-/// truncates rounds the positives needed (measured as a hamming loss on
-/// WSSC in `fig_train`).
+/// truncates rounds the positives needed (measured as a held-out hamming
+/// loss on WSSC).
 const MIN_HOLDOUT_MINORITY: usize = 5;
 
 /// Early-stopping policy for boosting rounds.

@@ -94,9 +94,9 @@ impl Matrix {
         self.data[i * self.cols + j] = v;
     }
 
-    /// Iterator over rows.
+    /// Iterator over rows: `rows` slices, empty ones when `cols` is 0.
     pub fn iter_rows(&self) -> impl Iterator<Item = &[f64]> {
-        self.data.chunks_exact(self.cols)
+        (0..self.rows).map(move |i| self.row(i))
     }
 
     /// A new matrix containing only the rows with the given indices
@@ -183,5 +183,12 @@ mod tests {
         let m = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         let sums: Vec<f64> = m.iter_rows().map(|r| r.iter().sum()).collect();
         assert_eq!(sums, vec![3.0, 7.0]);
+    }
+
+    #[test]
+    fn iter_rows_yields_one_empty_row_per_row_without_columns() {
+        let m = Matrix::zeros(3, 0);
+        let rows: Vec<&[f64]> = m.iter_rows().collect();
+        assert_eq!(rows, vec![&[] as &[f64]; 3]);
     }
 }

@@ -104,3 +104,34 @@ fn logistic_beats_base_rate() {
     let base = base.max(1.0 - base);
     assert!(acc > base, "accuracy {acc} must beat base rate {base}");
 }
+
+/// With no feature columns the three linear families fit a bias alone and
+/// give every row the same probability; LinearR's is the positive rate.
+#[test]
+fn linear_families_fit_and_predict_a_bias_alone_without_features() {
+    let labels = [1, 0, 1, 1, 0, 1, 1, 1];
+    let positive_rate = 0.75;
+    let x = Matrix::zeros(labels.len(), 0);
+    let queries = Matrix::zeros(3, 0);
+    for kind in [
+        ModelKind::linear_r(),
+        ModelKind::logistic_r(),
+        ModelKind::svm(),
+    ] {
+        let mut m = kind.build(0);
+        m.fit(&x, &labels).unwrap();
+        let proba = m.predict_proba(&queries).unwrap();
+        assert_eq!(proba.len(), 3, "{}", kind.name());
+        assert!(
+            proba
+                .iter()
+                .all(|&p| p == proba[0] && (0.0..=1.0).contains(&p)),
+            "{}: {proba:?}",
+            kind.name()
+        );
+        assert_eq!(m.predict(&queries).unwrap().len(), 3, "{}", kind.name());
+        if kind == ModelKind::linear_r() {
+            assert!((proba[0] - positive_rate).abs() < 1e-3, "{proba:?}");
+        }
+    }
+}

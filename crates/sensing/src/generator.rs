@@ -223,9 +223,6 @@ pub struct DatasetBuilder<'a> {
     elapsed_slots: u64,
     /// Hydraulic step / sampling interval, seconds.
     step: u64,
-    /// Solve each scenario through a per-thread [`SolverWorkspace`] seeded
-    /// from the leak-free baseline (see [`DatasetBuilder::warm_start`]).
-    warm_start: bool,
     /// Replacement scenario draws allowed per corpus slot (see
     /// [`DatasetBuilder::resample_limit`]).
     resample_limit: usize,
@@ -249,7 +246,6 @@ impl<'a> DatasetBuilder<'a> {
             solver: SolverOptions::default(),
             elapsed_slots: 1,
             step: 900,
-            warm_start: true,
             resample_limit: 8,
             recovery: true,
             tel: TelemetryCtx::none(),
@@ -285,19 +281,6 @@ impl<'a> DatasetBuilder<'a> {
     /// clean solve whenever the first attempt succeeds.
     pub fn recovery(mut self, recovery: bool) -> Self {
         self.recovery = recovery;
-        self
-    }
-
-    /// Enables or disables warm-started solving (default on). When on, each
-    /// worker thread owns a [`SolverWorkspace`] and every scenario's Newton
-    /// iteration seeds from the cached leak-free baseline snapshot. The
-    /// warm seed depends only on the sample — never on sample order — so
-    /// the corpus stays bit-identical for any thread count; warm and cold
-    /// corpora agree to within the solver tolerance. Turning it off forces
-    /// the legacy cold path (the control arm of the `fig_perf_warmstart`
-    /// bench).
-    pub fn warm_start(mut self, warm_start: bool) -> Self {
-        self.warm_start = warm_start;
         self
     }
 
@@ -337,7 +320,30 @@ impl<'a> DatasetBuilder<'a> {
         &self.sensors
     }
 
-    /// Pre-event and post-event snapshots for one scenario.
+    /// The two reading instants of every sample: one step before leak
+    /// onset (`e.t − 1`) and `elapsed_slots` steps after it (`e.t + n`).
+    fn reading_times(&self) -> (u64, u64) {
+        (
+            self.sampler.leak_start - self.step,
+            self.sampler.leak_start + self.elapsed_slots * self.step,
+        )
+    }
+
+    /// The leak-free baseline's tank levels at time `t` (its last step
+    /// when `t` lies past the end).
+    fn tank_levels_at(&self, baseline: &aqua_hydraulics::EpsResult, t: u64) -> Vec<(NodeId, f64)> {
+        let idx = (t / self.step) as usize;
+        let idx = idx.min(baseline.tank_levels.len().saturating_sub(1));
+        baseline
+            .tank_ids
+            .iter()
+            .cloned()
+            .zip(baseline.tank_levels[idx].iter().cloned())
+            .collect()
+    }
+
+    /// Pre-event and post-event snapshots for one scenario, solved in the
+    /// worker's `ws` from warm starts taken off the baseline.
     ///
     /// Tank levels for both instants come from a leak-free baseline EPS
     /// (cached by the caller via `baseline`): leaks shorter than a few
@@ -350,23 +356,12 @@ impl<'a> DatasetBuilder<'a> {
         &self,
         scenario: &Scenario,
         baseline: &aqua_hydraulics::EpsResult,
-        ws: Option<&mut SolverWorkspace>,
+        ws: &mut SolverWorkspace,
         tel: TelemetryCtx<'_>,
     ) -> Result<(Snapshot, Snapshot, usize), SensingError> {
-        let t_before = self.sampler.leak_start - self.step;
-        let t_after = self.sampler.leak_start + self.elapsed_slots * self.step;
+        let (t_before, t_after) = self.reading_times();
         let mut with_tanks = scenario.clone();
-        let levels_at = |t: u64| -> Vec<(NodeId, f64)> {
-            let idx = (t / self.step) as usize;
-            let idx = idx.min(baseline.tank_levels.len().saturating_sub(1));
-            baseline
-                .tank_ids
-                .iter()
-                .cloned()
-                .zip(baseline.tank_levels[idx].iter().cloned())
-                .collect()
-        };
-        with_tanks.tank_levels = levels_at(t_before);
+        with_tanks.tank_levels = self.tank_levels_at(baseline, t_before);
         let mut recoveries = 0usize;
         // Solve dispatcher: the recovery ladder wraps the exact same
         // single-attempt solve, so results are bit-identical whenever the
@@ -390,46 +385,33 @@ impl<'a> DatasetBuilder<'a> {
                 solve_snapshot_traced(self.net, with_tanks, t, &self.solver, ws, tel)
             }
         };
-        match ws {
-            Some(ws) => {
-                // Re-seed from the baseline for *every* sample (not from
-                // the previous sample), so the result is a function of the
-                // sample alone and the corpus stays identical whichever
-                // worker solves which sample.
-                let base = baseline.at(t_before);
-                match base {
-                    Some(base) => ws.set_warm_start(WarmStart::from_snapshot(base)),
-                    None => ws.clear_warm_start(),
-                }
-                // Before leak onset the scenario is hydraulically the
-                // leak-free baseline, so the cached baseline snapshot *is*
-                // the pre-event solution — reuse it instead of re-solving.
-                let before = match base {
-                    Some(base) if scenario.is_baseline_at(t_before) => base.clone(),
-                    _ => solve(&with_tanks, t_before, ws)?,
-                };
-                with_tanks.tank_levels = levels_at(t_after);
-                // Seed the "after" solve from the baseline at t_after when
-                // available — it carries the exact post-event demand
-                // profile, leaving only the leak perturbation to iterate
-                // out. (Falls back to the "before" solution the workspace
-                // stored.) Still a function of the sample alone.
-                if let Some(base_after) = baseline.at(t_after) {
-                    ws.set_warm_start(WarmStart::from_snapshot(base_after));
-                }
-                let after = solve(&with_tanks, t_after, ws)?;
-                Ok((before, after, recoveries))
-            }
-            None => {
-                // A fresh workspace per solve keeps cold semantics: no
-                // state flows from one solve into the next (this is
-                // exactly what `solve_snapshot` does internally).
-                let before = solve(&with_tanks, t_before, &mut SolverWorkspace::new(self.net))?;
-                with_tanks.tank_levels = levels_at(t_after);
-                let after = solve(&with_tanks, t_after, &mut SolverWorkspace::new(self.net))?;
-                Ok((before, after, recoveries))
-            }
+        // Re-seed from the baseline for *every* sample (not from the
+        // previous sample), so the result is a function of the sample
+        // alone and the corpus stays identical whichever worker solves
+        // which sample.
+        let base = baseline.at(t_before);
+        match base {
+            Some(base) => ws.set_warm_start(WarmStart::from_snapshot(base)),
+            None => ws.clear_warm_start(),
         }
+        // Before leak onset the scenario is hydraulically the leak-free
+        // baseline, so the cached baseline snapshot *is* the pre-event
+        // solution — reuse it instead of re-solving.
+        let before = match base {
+            Some(base) if scenario.is_baseline_at(t_before) => base.clone(),
+            _ => solve(&with_tanks, t_before, ws)?,
+        };
+        with_tanks.tank_levels = self.tank_levels_at(baseline, t_after);
+        // Seed the "after" solve from the baseline at t_after when
+        // available — it carries the exact post-event demand profile,
+        // leaving only the leak perturbation to iterate out. (Falls back
+        // to the "before" solution the workspace stored.) Still a function
+        // of the sample alone.
+        if let Some(base_after) = baseline.at(t_after) {
+            ws.set_warm_start(WarmStart::from_snapshot(base_after));
+        }
+        let after = solve(&with_tanks, t_after, ws)?;
+        Ok((before, after, recoveries))
     }
 
     /// Runs the leak-free baseline EPS covering the sampling window.
@@ -473,7 +455,7 @@ impl<'a> DatasetBuilder<'a> {
         };
         let build_start = tel.now_ns().unwrap_or(0);
 
-        let worker = |ws: &mut Option<SolverWorkspace>, i: usize| -> SampleRow {
+        let worker = |ws: &mut SolverWorkspace, i: usize| -> SampleRow {
             let mut stats = SampleStats::default();
             let sample_start = tel.now_ns();
             let mut attempt = 0usize;
@@ -490,7 +472,7 @@ impl<'a> DatasetBuilder<'a> {
                 let mut rng = StdRng::seed_from_u64(sample_seed);
                 let scenario = self.sampler.sample(&mut rng);
                 let solve_start = tel.now_ns();
-                match self.snapshots_for(&scenario, &baseline, ws.as_mut(), tel) {
+                match self.snapshots_for(&scenario, &baseline, ws, tel) {
                     Ok((before, after, recoveries)) => {
                         if let (Some(t0), Some(t1)) = (solve_start, tel.now_ns()) {
                             stats.solve_ns += t1.saturating_sub(t0);
@@ -502,11 +484,8 @@ impl<'a> DatasetBuilder<'a> {
                             let model =
                                 self.features.faults.for_sample(seed.wrapping_add(i as u64));
                             let mut injector = FaultInjector::new(model);
-                            let slots = (
-                                (self.sampler.leak_start - self.step) / self.step,
-                                (self.sampler.leak_start + self.elapsed_slots * self.step)
-                                    / self.step,
-                            );
+                            let (t_before, t_after) = self.reading_times();
+                            let slots = (t_before / self.step, t_after / self.step);
                             let (features, imputed) = extract_features_degraded(
                                 self.net,
                                 &self.sensors,
@@ -577,7 +556,7 @@ impl<'a> DatasetBuilder<'a> {
 
         // One workspace per worker thread: symbolic setup is paid once per
         // thread, not once per sample.
-        let workspace = || self.warm_start.then(|| SolverWorkspace::new(self.net));
+        let workspace = || SolverWorkspace::new(self.net);
         let rows = par_map_indexed(n_samples, threads, workspace, worker);
 
         let mut x: Option<Matrix> = None;
@@ -662,6 +641,7 @@ impl<'a> DatasetBuilder<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aqua_hydraulics::solve_snapshot;
     use aqua_net::synth;
 
     #[test]
@@ -727,18 +707,39 @@ mod tests {
     }
 
     #[test]
-    fn warm_and_cold_corpora_agree() {
+    fn warm_corpus_matches_cold_solves() {
+        // The cold reference re-solves each sample's draw with a fresh
+        // `solve_snapshot` at both reading instants, under the baseline's
+        // tank levels, and draws its feature noise from the same RNG
+        // stream the build used.
         let net = synth::epa_net();
-        let warm = DatasetBuilder::new(&net, SensorSet::full(&net))
-            .build(8, 5, 1)
-            .unwrap();
-        let cold = DatasetBuilder::new(&net, SensorSet::full(&net))
-            .warm_start(false)
-            .build(8, 5, 1)
-            .unwrap();
-        assert_eq!(warm.labels, cold.labels);
-        for i in 0..warm.x.rows() {
-            for (a, b) in warm.x.row(i).iter().zip(cold.x.row(i)) {
+        let builder = DatasetBuilder::new(&net, SensorSet::full(&net));
+        let (samples, seed) = (8, 5);
+        let warm = builder.build(samples, seed, 1).unwrap();
+        assert_eq!(
+            warm.summary.resample_draws, 0,
+            "every sample is its first draw"
+        );
+        let baseline = builder.baseline().unwrap();
+        let (t_before, t_after) = builder.reading_times();
+        for i in 0..samples {
+            let mut rng = StdRng::seed_from_u64(seed + i as u64);
+            let scenario = builder.sampler.sample(&mut rng);
+            assert_eq!(scenario, warm.scenarios[i]);
+            let cold = |t: u64| {
+                let mut with_tanks = scenario.clone();
+                with_tanks.tank_levels = builder.tank_levels_at(&baseline, t);
+                solve_snapshot(&net, &with_tanks, t, &builder.solver).unwrap()
+            };
+            let features = extract_features(
+                &net,
+                &builder.sensors,
+                &cold(t_before),
+                &cold(t_after),
+                &builder.features,
+                &mut rng,
+            );
+            for (a, b) in warm.x.row(i).iter().zip(&features) {
                 assert!((a - b).abs() < 1e-4, "sample {i}: {a} vs {b}");
             }
         }

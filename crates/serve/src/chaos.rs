@@ -8,12 +8,12 @@
 //! step, no RNG state to drift), so the same seed reproduces the same
 //! fault schedule byte-for-byte — and, because health transitions and
 //! swap outcomes are emitted with deterministic ordinals, the same
-//! telemetry event stream. Benches assert on exactly that.
+//! telemetry event stream. The fleet tests assert on exactly that.
 //!
-//! The plan only *decides* faults; the driver (a test or `fig_fleet`)
-//! applies them — killing a `Server`, skipping a forward, swapping in a
-//! truncated `.aquaprof`. That split keeps the plan pure and the
-//! application visible at the call site.
+//! The plan only *decides* faults; the code running the scenario (a
+//! fleet test) applies them — killing a `Server`, skipping a forward,
+//! swapping in a truncated `.aquaprof`. That split keeps the plan pure
+//! and the application visible at the call site.
 
 /// One infrastructure fault. `replica` indexes the fleet's replica list.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -15,8 +15,8 @@
 //! `serve.router.attempt` child span per replica tried, and propagates
 //! the attempt's context to the replica in the `x-aqua-trace` header. The
 //! [`ForwardRecord`] returned by [`Router::forward_traced`] is the
-//! router's own account of the hop sequence, which `fig_observe` checks
-//! the stitched timeline against.
+//! router's own account of the hop sequence, which the fleet chaos test
+//! (`tests/fleet_tests.rs`) checks the stitched timeline against.
 
 use std::io;
 

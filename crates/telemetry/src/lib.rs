@@ -20,8 +20,7 @@
 //! Instrumented code takes a [`TelemetryCtx`] (a copyable
 //! `Option<&TelemetryHub>` plus parent span); the disabled default reduces
 //! every operation to one branch, keeping the uninstrumented hot path
-//! intact — the `fig_telemetry` bench holds instrumented-vs-not overhead on
-//! the Phase-I hot path to ≤ 3 %.
+//! intact.
 //!
 //! # Example
 //!

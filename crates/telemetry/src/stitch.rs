@@ -19,8 +19,8 @@
 //!   events never made it into any stream.
 //!
 //! [`StitchReport::render_flame`] renders the whole report as an
-//! indented text flame summary, the artifact `fig_observe` asserts is
-//! byte-identical across chaos runs.
+//! indented text flame summary, the artifact the fleet chaos test
+//! (`aqua-serve`'s `fleet_tests.rs`) asserts is byte-identical across runs.
 
 use std::collections::BTreeMap;
 
