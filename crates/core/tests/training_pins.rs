@@ -2,9 +2,10 @@
 //! exact same profile artifact.
 //!
 //! Each test trains an EPA-NET profile (60 noise-free scenarios, 2
-//! threads) under a [`ManualClock`] that never advances, so the recorded
-//! `training_time` is zero and the artifact is a pure function of the
-//! code. The FNV-1a-64 digest of `ProfileArtifact::to_bytes()` is compared
+//! threads; 240 scenarios for the forest and histogram-CART pins, so their
+//! split scans see heavier nodes) under a [`ManualClock`] that never
+//! advances, so the recorded `training_time` is zero and the artifact is a
+//! pure function of the code. The FNV-1a-64 digest of `ProfileArtifact::to_bytes()` is compared
 //! against a constant recorded before the trainers were last optimized; a
 //! speed-up that changes one model bit fails here. (The container's own
 //! CRC-32 is not a usable digest: a container that ends in its CRC has the
@@ -13,7 +14,7 @@
 use std::sync::Arc;
 
 use aqua_core::{AquaScale, AquaScaleConfig, ProfileArtifact};
-use aqua_ml::ModelKind;
+use aqua_ml::{DecisionTreeConfig, ModelKind, SplitStrategy};
 use aqua_net::synth;
 use aqua_sensing::{FeatureConfig, MeasurementNoise};
 use aqua_telemetry::{Clock, ManualClock};
@@ -27,10 +28,16 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 
 /// Digest of the artifact of a profile trained with `model`.
 fn artifact_digest(model: ModelKind) -> u64 {
+    artifact_digest_at(model, 60)
+}
+
+/// Digest of the artifact of a profile trained with `model` on
+/// `train_samples` scenarios.
+fn artifact_digest_at(model: ModelKind, train_samples: usize) -> u64 {
     let net = synth::epa_net();
     let config = AquaScaleConfig {
         model,
-        train_samples: 60,
+        train_samples,
         features: FeatureConfig {
             noise: MeasurementNoise::none(),
             ..FeatureConfig::default()
@@ -74,5 +81,26 @@ fn gradient_boosting_profile_bytes_are_pinned() {
     assert_eq!(
         artifact_digest(ModelKind::gradient_boosting()),
         0x7951_209b_e25d_ae92
+    );
+}
+
+#[test]
+fn random_forest_profile_bytes_are_pinned() {
+    assert_eq!(
+        artifact_digest_at(ModelKind::random_forest(), 240),
+        0xb30c_9713_fef1_c7c0
+    );
+}
+
+#[test]
+fn histogram_cart_profile_bytes_are_pinned() {
+    let config = DecisionTreeConfig {
+        split: SplitStrategy::histogram(),
+        balance_classes: true,
+        ..DecisionTreeConfig::default()
+    };
+    assert_eq!(
+        artifact_digest_at(ModelKind::DecisionTree { config }, 240),
+        0x28cc_e6b9_6227_ebef
     );
 }
