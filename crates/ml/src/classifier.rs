@@ -293,7 +293,12 @@ impl ModelKind {
                 .collect()
         }
         match self {
-            ModelKind::Svm { config } => boxed(LinearSvm::fit_block(config, x, &ys, &seeds)),
+            ModelKind::Svm { config } => boxed(
+                LinearSvm::fit_block(config, x, &ys, &seeds)
+                    .into_iter()
+                    .map(|fit| fit.map(|(svm, _)| svm))
+                    .collect(),
+            ),
             ModelKind::HybridRsl { config } => {
                 boxed(HybridRsl::fit_block(config, x, &ys, &seeds, prep))
             }

@@ -79,28 +79,36 @@ impl HybridRsl {
     }
 
     /// Fits the stack around `svm`, its SVM already fitted on the same `x`
-    /// and `y`: the forest first, so a forest error still wins over an SVM
-    /// error, then the fusion layer on both base learners' probabilities.
+    /// and `y` and returned with its training margins: the forest first, so
+    /// a forest error still wins over an SVM error, then the fusion layer
+    /// on both base learners' probabilities. The SVM's come from the
+    /// margins its Platt scaling already computed, not a second pass.
     fn fit_around(
         &mut self,
         x: &Matrix,
         y: &[u8],
         prep: &Prepared,
-        svm: Result<LinearSvm, MlError>,
+        svm: Result<(LinearSvm, Vec<f64>), MlError>,
     ) -> Result<(), MlError> {
         // Only the forest base learner grows trees; SVM and the fusion
         // layer train on raw features / meta-probabilities.
         self.forest.fit_prepared(x, y, prep)?;
-        self.svm = svm?;
-        let meta = self.meta_features(x)?;
+        let (svm, margins) = svm?;
+        self.svm = svm;
+        let meta = self.stack(x, self.svm.probabilities(margins))?;
         self.fusion.fit(&meta, y)?;
         self.fitted = true;
         Ok(())
     }
 
     fn meta_features(&self, x: &Matrix) -> Result<Matrix, MlError> {
+        self.stack(x, self.svm.predict_proba(x)?)
+    }
+
+    /// The fusion layer's input: the forest's probabilities on `x`, the
+    /// SVM's (`svm_p`), and the raw features when passed through.
+    fn stack(&self, x: &Matrix, svm_p: Vec<f64>) -> Result<Matrix, MlError> {
         let rf_p = self.forest.predict_proba(x)?;
-        let svm_p = self.svm.predict_proba(x)?;
         let mut meta = Matrix::with_cols(2);
         for (a, b) in rf_p.iter().zip(&svm_p) {
             meta.push_row(&[*a, *b]);
@@ -125,8 +133,7 @@ impl Classifier for HybridRsl {
     }
 
     fn fit_prepared(&mut self, x: &Matrix, y: &[u8], prep: &Prepared) -> Result<(), MlError> {
-        let mut svm = self.svm.clone();
-        let svm = svm.fit(x, y).map(|()| svm);
+        let svm = self.svm.fit_margins(x, y);
         self.fit_around(x, y, prep, svm)
     }
 

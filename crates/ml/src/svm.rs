@@ -76,7 +76,8 @@ impl LinearSvm {
     }
 
     /// Fits one SVM per label vector `ys[j]`, seeded `seeds[j]`, on the
-    /// shared `x`. Each result is exactly what
+    /// shared `x`, each with the training margins its Platt scaling was
+    /// fitted on. Each SVM is exactly what
     /// `with_config(config.clone(), seeds[j])` then `fit(x, ys[j])` gives.
     /// A block of [`LANES`] well-formed outputs steps its Pegasos lanes
     /// together; any other block fits each output alone.
@@ -85,7 +86,7 @@ impl LinearSvm {
         x: &Matrix,
         ys: &[&[u8]],
         seeds: &[u64],
-    ) -> Vec<Result<LinearSvm, MlError>> {
+    ) -> Vec<Result<(LinearSvm, Vec<f64>), MlError>> {
         let lanes: Result<Vec<Lane<'_>>, MlError> = ys
             .iter()
             .zip(seeds)
@@ -104,22 +105,38 @@ impl LinearSvm {
             None => ys
                 .iter()
                 .zip(seeds)
-                .map(|(&y, &seed)| {
-                    let mut svm = LinearSvm::with_config(config.clone(), seed);
-                    svm.fit(x, y).map(|()| svm)
-                })
+                .map(|(&y, &seed)| LinearSvm::with_config(config.clone(), seed).fit_margins(x, y))
                 .collect(),
         }
     }
 
+    /// [`fit`](Classifier::fit), returning the fitted SVM with its
+    /// training margins.
+    pub(crate) fn fit_margins(
+        &self,
+        x: &Matrix,
+        y: &[u8],
+    ) -> Result<(LinearSvm, Vec<f64>), MlError> {
+        let lane = Lane::new(&self.config, x, y, self.seed)?;
+        let [w] = pegasos(&self.config, x, [lane]);
+        LinearSvm::calibrate(&self.config, x, lane, w)
+    }
+
+    /// Platt probabilities of `margins`, as `predict_proba` maps them.
+    pub(crate) fn probabilities(&self, margins: Vec<f64>) -> Vec<f64> {
+        let (a, b) = self.platt;
+        margins.into_iter().map(|m| sigmoid(a * m + b)).collect()
+    }
+
     /// The model of one lane's Pegasos weights `w`: a divergence check,
-    /// then Platt scaling on the lane's training margins.
+    /// then Platt scaling on the lane's training margins, which come back
+    /// with it.
     fn calibrate(
         config: &LinearSvmConfig,
         x: &Matrix,
         lane: Lane<'_>,
         w: Vec<f64>,
-    ) -> Result<LinearSvm, MlError> {
+    ) -> Result<(LinearSvm, Vec<f64>), MlError> {
         if w.iter().any(|v| !v.is_finite()) {
             return Err(MlError::Diverged);
         }
@@ -145,14 +162,15 @@ impl LinearSvm {
                 return Err(MlError::Diverged);
             }
         }
-        Ok(LinearSvm {
+        let svm = LinearSvm {
             config: config.clone(),
             seed: lane.seed,
             weights: Some(w),
             // A negative slope would invert the ranking; keep it
             // non-negative.
             platt: (a.max(0.0), b),
-        })
+        };
+        Ok((svm, margins))
     }
 }
 
@@ -174,16 +192,12 @@ impl Default for LinearSvm {
 
 impl Classifier for LinearSvm {
     fn fit(&mut self, x: &Matrix, y: &[u8]) -> Result<(), MlError> {
-        let lane = Lane::new(&self.config, x, y, self.seed)?;
-        let [w] = pegasos(&self.config, x, [lane]);
-        *self = LinearSvm::calibrate(&self.config, x, lane, w)?;
+        (*self, _) = self.fit_margins(x, y)?;
         Ok(())
     }
 
     fn predict_proba(&self, x: &Matrix) -> Result<Vec<f64>, MlError> {
-        let margins = self.decision_function(x)?;
-        let (a, b) = self.platt;
-        Ok(margins.into_iter().map(|m| sigmoid(a * m + b)).collect())
+        Ok(self.probabilities(self.decision_function(x)?))
     }
 
     fn predict(&self, x: &Matrix) -> Result<Vec<u8>, MlError> {
@@ -599,7 +613,13 @@ mod tests {
                 assert_eq!(block.len(), outputs);
                 for (j, fit) in block.into_iter().enumerate() {
                     let (y, seed) = (labels[j], seeds[j]);
-                    let lane = fit.unwrap();
+                    let (lane, margins) = fit.unwrap();
+                    // The margins handed back are a predict pass's.
+                    assert_eq!(
+                        bits(&margins),
+                        bits(&lane.decision_function(x).unwrap()),
+                        "{name}: lane {j} margins"
+                    );
                     let reference = bits(&reference_pegasos(config, seed, x, y));
                     assert_eq!(
                         bits(lane.weights.as_deref().unwrap()),
