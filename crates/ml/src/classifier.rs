@@ -436,7 +436,15 @@ pub(crate) mod util {
                 labels: y.len(),
             });
         }
-        Ok(y.iter().filter(|&&v| v == 1).count())
+        let mut n_pos = 0;
+        for (index, &label) in y.iter().enumerate() {
+            match label {
+                0 => {}
+                1 => n_pos += 1,
+                label => return Err(MlError::InvalidLabel { index, label }),
+            }
+        }
+        Ok(n_pos)
     }
 
     /// Validates `predict` inputs against the trained feature count.
@@ -502,6 +510,96 @@ mod tests {
             check_fit(&empty, &[]),
             Err(MlError::EmptyTrainingSet)
         ));
+    }
+
+    /// Six rows labelled `[0, 2, 2, 0, 2, 1]`: every family must refuse
+    /// the first label outside {0, 1}, row 1's, before it trains.
+    fn assert_refuses_label_two(kind: ModelKind) {
+        let x = Matrix::from_rows(&[
+            &[0.0, 1.0],
+            &[1.0, 0.5],
+            &[2.0, 0.1],
+            &[3.0, 0.9],
+            &[4.0, 0.3],
+            &[5.0, 0.7],
+        ]);
+        let y = [0, 2, 2, 0, 2, 1];
+        assert_eq!(
+            kind.build(3).fit(&x, &y).err(),
+            Some(MlError::InvalidLabel { index: 1, label: 2 }),
+            "{}",
+            kind.name()
+        );
+    }
+
+    #[test]
+    fn linear_r_refuses_labels_outside_zero_and_one() {
+        assert_refuses_label_two(ModelKind::linear_r());
+    }
+
+    #[test]
+    fn logistic_r_refuses_labels_outside_zero_and_one() {
+        assert_refuses_label_two(ModelKind::logistic_r());
+    }
+
+    #[test]
+    fn gradient_boosting_refuses_labels_outside_zero_and_one() {
+        assert_refuses_label_two(ModelKind::gradient_boosting());
+    }
+
+    #[test]
+    fn random_forest_refuses_labels_outside_zero_and_one() {
+        assert_refuses_label_two(ModelKind::random_forest());
+    }
+
+    #[test]
+    fn svm_refuses_labels_outside_zero_and_one() {
+        assert_refuses_label_two(ModelKind::svm());
+    }
+
+    #[test]
+    fn exact_cart_refuses_labels_outside_zero_and_one() {
+        assert_refuses_label_two(ModelKind::DecisionTree {
+            config: DecisionTreeConfig {
+                split: crate::SplitStrategy::Exact,
+                ..DecisionTreeConfig::default()
+            },
+        });
+    }
+
+    #[test]
+    fn histogram_cart_refuses_labels_outside_zero_and_one() {
+        assert_refuses_label_two(ModelKind::DecisionTree {
+            config: DecisionTreeConfig {
+                split: crate::SplitStrategy::Histogram { max_bins: 32 },
+                ..DecisionTreeConfig::default()
+            },
+        });
+    }
+
+    #[test]
+    fn hybrid_rsl_refuses_labels_outside_zero_and_one() {
+        assert_refuses_label_two(ModelKind::hybrid_rsl());
+    }
+
+    #[test]
+    fn banks_refuse_labels_outside_zero_and_one() {
+        // A full block of four HybridRSL outputs, so the SVMs take the
+        // lockstep path and the forests the shared binned corpus; the
+        // third output carries the bad label.
+        let x = Matrix::from_rows(&[
+            &[0.0, 1.0],
+            &[1.0, 0.5],
+            &[2.0, 0.1],
+            &[3.0, 0.9],
+            &[4.0, 0.3],
+            &[5.0, 0.7],
+        ]);
+        let good = vec![0, 1, 1, 0, 1, 0];
+        let labels = [good.clone(), good.clone(), vec![0, 2, 2, 0, 2, 1], good];
+        let err = crate::MultiOutputModel::fit(ModelKind::hybrid_rsl(), &x, &labels, 9, 2)
+            .expect_err("the bank must refuse label 2");
+        assert_eq!(err, MlError::InvalidLabel { index: 1, label: 2 });
     }
 
     #[test]

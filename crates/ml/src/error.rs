@@ -30,6 +30,13 @@ pub enum MlError {
     },
     /// The optimizer failed to make progress (non-finite loss).
     Diverged,
+    /// `fit` received a label other than 0 or 1.
+    InvalidLabel {
+        /// Row of the first such label.
+        index: usize,
+        /// The label found there.
+        label: u8,
+    },
 }
 
 impl fmt::Display for MlError {
@@ -45,6 +52,9 @@ impl fmt::Display for MlError {
                 write!(f, "expected {expected} features, got {got}")
             }
             MlError::Diverged => write!(f, "optimizer diverged (non-finite loss)"),
+            MlError::InvalidLabel { index, label } => {
+                write!(f, "label {label} at row {index} is neither 0 nor 1")
+            }
         }
     }
 }
