@@ -8,24 +8,16 @@
 //! timelines.
 
 use aqua_net::Network;
+use aqua_telemetry::hash::splitmix64;
 use aqua_telemetry::{TelemetryCtx, Value};
 
 use crate::error::CampaignError;
 use crate::hazard::{Hazard, HazardContext};
 use crate::timeline::CompiledCampaign;
 
-/// The splitmix64 finalizer — the only entropy source in the campaign
-/// engine. Identical to the sensing crate's fault-schedule hash, so a
-/// hazard activation is a pure function of its inputs.
-#[must_use]
-pub fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Hashes two words into one schedule draw.
+/// Hashes two words into one schedule draw. [`splitmix64`] is the only
+/// entropy source in the campaign engine, so a hazard activation is a
+/// pure function of its inputs.
 #[must_use]
 pub fn mix2(a: u64, b: u64) -> u64 {
     splitmix64(a ^ splitmix64(b))

@@ -10,6 +10,7 @@
 
 use std::collections::BTreeMap;
 
+use aqua_telemetry::hash::fnv1a64;
 use aqua_telemetry::sync::{Mutex, MutexGuard};
 
 /// A concurrent map of `String → V` with per-shard locking.
@@ -28,12 +29,8 @@ impl<V> ShardedMap<V> {
     }
 
     fn shard(&self, key: &str) -> &Mutex<BTreeMap<String, V>> {
-        // FNV-1a; stable across runs so shard assignment is deterministic.
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for b in key.as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        // Stable across runs so shard assignment is deterministic.
+        let h = fnv1a64(key.as_bytes());
         &self.shards[(h % self.shards.len() as u64) as usize]
     }
 

@@ -15,6 +15,8 @@
 //! swapping in a truncated `.aquaprof`. That split keeps the plan pure
 //! and the application visible at the call site.
 
+use aqua_telemetry::hash::splitmix64;
+
 /// One infrastructure fault. `replica` indexes the fleet's replica list.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Fault {
@@ -57,13 +59,6 @@ pub struct FaultEvent {
     pub step: u64,
     /// What happens.
     pub fault: Fault,
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 /// A seed-deterministic fault schedule over a step horizon.

@@ -14,6 +14,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
+use aqua_telemetry::hash::splitmix64;
 use aqua_telemetry::{TelemetryCtx, TraceContext, TRACE_HEADER};
 
 use crate::json::Json;
@@ -217,13 +218,6 @@ impl Default for RetryPolicy {
             seed: 0,
         }
     }
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 impl RetryPolicy {

@@ -32,6 +32,7 @@ use std::net::SocketAddr;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use aqua_telemetry::hash::{fnv1a64, splitmix64};
 use aqua_telemetry::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use aqua_telemetry::sync::{Arc, Mutex, MutexGuard};
 use aqua_telemetry::{TelemetryCtx, TelemetryHub, Value};
@@ -249,26 +250,9 @@ impl BackendPool {
     }
 }
 
-// FNV-1a, the same stable hash the session registry shards with.
-fn fnv(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 /// Rendezvous (highest-random-weight) score of `(session, backend)`.
 fn rendezvous_score(session: &str, backend: &str) -> u64 {
-    splitmix64(fnv(session) ^ fnv(backend).rotate_left(32))
+    splitmix64(fnv1a64(session.as_bytes()) ^ fnv1a64(backend.as_bytes()).rotate_left(32))
 }
 
 /// The routing directory: network-id → replica set, session-id → tenant,

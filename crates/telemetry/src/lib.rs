@@ -46,6 +46,7 @@
 
 mod clock;
 mod event;
+pub mod hash;
 mod hub;
 mod json;
 mod metrics;

@@ -25,6 +25,8 @@
 //! which is all the [`TraceStitcher`](crate::TraceStitcher) needs to
 //! rebuild the tree.
 
+use crate::hash::splitmix64;
+
 /// The HTTP header carrying a [`TraceContext`] between processes.
 pub const TRACE_HEADER: &str = "x-aqua-trace";
 
@@ -35,13 +37,6 @@ pub const FIELD_SPAN: &str = "span";
 /// Event field holding the parent span id (16-digit hex; all zeros at the
 /// root).
 pub const FIELD_PARENT: &str = "parent";
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
 
 /// Derives a span id from its trace, parent and a per-hop key. Non-zero:
 /// zero is reserved to mean "no parent" (the root).
