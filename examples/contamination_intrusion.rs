@@ -64,7 +64,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "act 2, +{hour} h after restoration: {n} junctions above 1 mg/L (max {max:.1} mg/L)"
         );
     }
-    println!("\n(advisory zone = junctions above threshold; couple with the");
-    println!(" isolation planner in aqua-core to contain the plume.)");
+    println!("\n(advisory zone = junctions above threshold: the area to flush or");
+    println!(" valve off once the damaged pipe is localized.)");
     Ok(())
 }
