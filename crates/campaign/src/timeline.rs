@@ -265,17 +265,7 @@ pub fn render(
     let fallbacks: u64 = solved.iter().map(|(_, rung)| rung).sum();
 
     let times: Vec<u64> = (0..compiled.slots).map(|s| compiled.time_of(s)).collect();
-    let truth: Vec<Vec<f64>> = solved
-        .iter()
-        .map(|(snap, _)| {
-            sensors
-                .pressure_nodes
-                .iter()
-                .map(|&n| snap.pressure(n))
-                .chain(sensors.flow_links.iter().map(|&l| snap.flow(l)))
-                .collect()
-        })
-        .collect();
+    let truth: Vec<Vec<f64>> = solved.iter().map(|(snap, _)| sensors.read(snap)).collect();
 
     // Fault pass: stateful per-channel injector walked in slot order, so
     // stuck-at faults latch exactly as they do in a live deployment.

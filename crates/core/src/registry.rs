@@ -10,7 +10,7 @@
 
 use aqua_artifact::{Codec, SectionReader, SectionWriter, Writer};
 use aqua_net::Network;
-use aqua_sensing::{FaultModel, SensorSet};
+use aqua_sensing::SensorSet;
 use aqua_telemetry::sync::Arc;
 use aqua_telemetry::TelemetryCtx;
 
@@ -42,24 +42,19 @@ pub struct HostedSession {
 
 impl HostedSession {
     /// Hosts a trained profile against an owned network.
-    pub fn new(
-        net: Network,
-        config: AquaScaleConfig,
-        profile: ProfileModel,
-        seed: u64,
-    ) -> HostedSession {
-        Self::with_handle(net, Arc::new(ModelHandle::new(config, profile)), seed)
+    pub fn new(net: Network, config: AquaScaleConfig, profile: ProfileModel) -> HostedSession {
+        Self::with_handle(net, Arc::new(ModelHandle::new(config, profile)))
     }
 
     /// Hosts a session against a shared [`ModelHandle`] — the multi-session
     /// shape: every session of a tenant holds the same handle and follows
     /// its hot-swaps.
-    pub fn with_handle(net: Network, handle: Arc<ModelHandle>, seed: u64) -> HostedSession {
+    pub fn with_handle(net: Network, handle: Arc<ModelHandle>) -> HostedSession {
         let channels = handle.snapshot().profile.sensors.len();
         HostedSession {
             net,
             handle,
-            state: SessionState::new(channels, seed, FaultModel::none()),
+            state: SessionState::new(channels),
         }
     }
 
@@ -68,21 +63,24 @@ impl HostedSession {
     /// feature and tuning configuration are adopted, so inference behaves
     /// exactly as it did in the training deployment.
     ///
+    /// `_seed` is ignored: a session draws no random numbers. The argument
+    /// stays until the ledger benchmark, which passes one, next changes.
+    ///
     /// # Errors
     ///
     /// `InvalidConfig` when the artifact does not match the network.
     pub fn from_artifact(
         net: Network,
         artifact: ProfileArtifact,
-        seed: u64,
+        _seed: u64,
     ) -> Result<HostedSession, AquaError> {
         let handle = ModelHandle::from_artifact(&net, artifact)?;
-        Ok(HostedSession::with_handle(net, Arc::new(handle), seed))
+        Ok(HostedSession::with_handle(net, Arc::new(handle)))
     }
 
-    /// Feeds one slot of measured readings through the session (fault
-    /// injection → health/quarantine → delta features → Phase-II
-    /// inference). See [`SessionState::observe_readings`].
+    /// Feeds one slot of measured readings through the session
+    /// (health/quarantine → delta features → Phase-II inference). See
+    /// [`SessionState::observe_readings`].
     ///
     /// The model snapshot is taken once at the top of the call, so a
     /// concurrent hot-swap never changes the model mid-slot.
@@ -170,9 +168,9 @@ impl HostedSession {
 
     /// Serializes the session's streaming state into a CRC-checked
     /// checkpoint container (the `.aquaprof` wire machinery with its own
-    /// section names). The checkpoint captures readings history, RNG stream
-    /// position, fault-injector state, health counters and detections — so
-    /// a peer that [restores](Self::restore) it continues the stream
+    /// section names). The checkpoint captures the previous readings, the
+    /// health counters, the slot count and the detections — so a peer that
+    /// [restores](Self::restore) it continues the stream
     /// **bit-identically** from the checkpointed slot.
     pub fn checkpoint(&self) -> Vec<u8> {
         let mut sections = SectionWriter::new();
@@ -195,9 +193,10 @@ impl HostedSession {
     ///
     /// # Errors
     ///
-    /// Artifact errors on a corrupt, truncated or non-checkpoint container;
+    /// Artifact errors on a corrupt, truncated or non-checkpoint container
+    /// (a checkpoint in an older state layout among them);
     /// `InvalidConfig` when the checkpoint was captured against a different
-    /// network or channel count.
+    /// network or channel count. On any error the session is unchanged.
     pub fn restore(&mut self, bytes: &[u8]) -> Result<(), AquaError> {
         let sections = SectionReader::open(bytes, CHECKPOINT_SECTIONS)?;
 
@@ -228,6 +227,11 @@ impl HostedSession {
         let mut r = sections.section("ckpt.state")?;
         let state = SessionState::decode(&mut r)?;
         r.finish()?;
+        if !state.has_channels(channels) {
+            return Err(AquaError::InvalidConfig {
+                reason: format!("checkpoint state does not hold {channels} sensor channels"),
+            });
+        }
         self.state = state;
         Ok(())
     }
@@ -319,7 +323,7 @@ mod tests {
         };
         let aqua = AquaScale::new(&net, config.clone());
         let profile = aqua.train_profile().expect("train");
-        HostedSession::new(synth::epa_net(), config, profile, 7)
+        HostedSession::new(synth::epa_net(), config, profile)
     }
 
     #[test]
@@ -328,12 +332,11 @@ mod tests {
         let net = synth::epa_net();
         let snap =
             solve_snapshot(&net, &Scenario::default(), 0, &SolverOptions::default()).unwrap();
-        let sensors = session.sensors();
-        let readings: Vec<Option<f64>> = sensors
-            .pressure_nodes
-            .iter()
-            .map(|&n| Some(snap.pressure(n)))
-            .chain(sensors.flow_links.iter().map(|&l| Some(snap.flow(l))))
+        let readings: Vec<Option<f64>> = session
+            .sensors()
+            .read(&snap)
+            .into_iter()
+            .map(Some)
             .collect();
         assert!(session
             .ingest(0, &readings, TelemetryCtx::none())

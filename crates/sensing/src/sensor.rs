@@ -2,6 +2,7 @@
 //! carry flow meters.
 
 use aqua_artifact::{ArtifactError, Codec, Reader, Writer};
+use aqua_hydraulics::Snapshot;
 use aqua_net::{LinkId, Network, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -74,6 +75,16 @@ impl SensorSet {
     /// `true` when no device is deployed.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// The true value under every device in `snapshot`, in channel order:
+    /// pressure nodes first, then flow links.
+    pub fn read(&self, snapshot: &Snapshot) -> Vec<f64> {
+        self.pressure_nodes
+            .iter()
+            .map(|&n| snapshot.pressure(n))
+            .chain(self.flow_links.iter().map(|&l| snapshot.flow(l)))
+            .collect()
     }
 
     /// Deployment penetration relative to full instrumentation.

@@ -1,13 +1,12 @@
 //! `aqua-serve`: an embedded HTTP serving layer for AquaSCALE deployments.
 //!
-//! Hosts concurrent [`MonitoringSession`](aqua_core::MonitoringSession)-style
-//! streams (as [`aqua_core::HostedSession`]s in a shared
-//! [`aqua_core::SessionRegistry`]) behind a small threaded HTTP/1.1 server
-//! built entirely on `std::net` — no external dependencies. Field gateways
-//! POST batched sensor readings per timestep; the readings run through the
-//! same fault-injection → health/quarantine → Phase-II inference path as
-//! in-process monitoring, so detections are bit-for-bit identical to what a
-//! co-located pipeline would produce.
+//! Hosts concurrent Phase-II sessions (as [`aqua_core::HostedSession`]s in
+//! a shared [`aqua_core::SessionRegistry`]) behind a small threaded
+//! HTTP/1.1 server built entirely on `std::net` — no external
+//! dependencies. Field gateways POST batched sensor readings per timestep;
+//! the readings run through the same health/quarantine → Phase-II
+//! inference path as an in-process `HostedSession`, so detections are
+//! bit-for-bit identical to what a co-located pipeline would produce.
 //!
 //! Operational posture:
 //!

@@ -251,11 +251,10 @@ fn create_session(
     let Some(network) = doc.get("network").and_then(Json::as_str) else {
         return Response::error(400, "missing \"network\"");
     };
-    let seed = doc.get("seed").and_then(Json::as_u64).unwrap_or(0);
     if registry.with_session(id, |_| ()).is_some() {
         return Response::error(409, &format!("session {id:?} already exists"));
     }
-    let Some(session) = vault.create_session(network, seed) else {
+    let Some(session) = vault.create_session(network, 0) else {
         return Response::error(404, &format!("no tenant {network:?}"));
     };
     let channels = session.channels();

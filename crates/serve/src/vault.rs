@@ -114,8 +114,11 @@ impl ModelVault {
 
     /// Creates a hosted session against the named tenant's shared handle,
     /// or `None` for an unknown tenant.
-    pub fn create_session(&self, network: &str, seed: u64) -> Option<HostedSession> {
+    ///
+    /// `_seed` is ignored: a session draws no random numbers. The argument
+    /// stays until the ledger benchmark, which passes one, next changes.
+    pub fn create_session(&self, network: &str, _seed: u64) -> Option<HostedSession> {
         let tenant = self.tenant(network)?;
-        Some(HostedSession::with_handle(tenant.net, tenant.handle, seed))
+        Some(HostedSession::with_handle(tenant.net, tenant.handle))
     }
 }
