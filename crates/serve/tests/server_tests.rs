@@ -129,12 +129,7 @@ fn reading_trace(session: &HostedSession, slots: u64) -> Vec<(u64, Vec<Option<f6
         .map(|slot| {
             let t = slot * 900;
             let snap = solve_snapshot(&net, &scenario, t, &SolverOptions::default()).unwrap();
-            let readings = sensors
-                .pressure_nodes
-                .iter()
-                .map(|&n| Some(snap.pressure(n)))
-                .chain(sensors.flow_links.iter().map(|&l| Some(snap.flow(l))))
-                .collect();
+            let readings = sensors.read(&snap).into_iter().map(Some).collect();
             (t, readings)
         })
         .collect()

@@ -65,12 +65,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for slot in 0..=10u64 {
         let t = slot * 900;
         let snap = solve_snapshot(&net, &scenario, t, &SolverOptions::default())?;
-        let readings: Vec<Option<f64>> = sensors
-            .pressure_nodes
-            .iter()
-            .map(|&n| Some(snap.pressure(n)))
-            .chain(sensors.flow_links.iter().map(|&l| Some(snap.flow(l))))
-            .collect();
+        let readings: Vec<Option<f64>> = sensors.read(&snap).into_iter().map(Some).collect();
         let body = wire::ingest_body(&[(t, readings)]);
         let resp = client::post_json(addr, "/v1/sessions/epa/ingest", &body)?;
         assert_eq!(resp.status, 200, "{}", resp.body);
