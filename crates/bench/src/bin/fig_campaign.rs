@@ -146,8 +146,8 @@ fn run_sweep(tenants: &[Tenant], intensities: &[f64], slots: u64) -> SweepOutcom
 
                 // Score through an in-process hosted session.
                 let artifact = ProfileArtifact::from_bytes(&tenant.artifact).expect("decode");
-                let mut session = HostedSession::from_artifact(tenant.net.clone(), artifact, SEED)
-                    .expect("session");
+                let mut session =
+                    HostedSession::from_artifact(tenant.net.clone(), artifact, 0).expect("session");
                 for (&t, row) in rendered.times.iter().zip(&rendered.readings) {
                     session
                         .ingest(t, row, aqua_telemetry::TelemetryCtx::none())
@@ -164,7 +164,7 @@ fn run_sweep(tenants: &[Tenant], intensities: &[f64], slots: u64) -> SweepOutcom
                 // drop nothing versus the lockstep reference.
                 if mix == "all" && intensity == 1.0 {
                     let outcome =
-                        replay_hosted(&tenant.net, &tenant.artifact, &rendered, SEED, hub.ctx())
+                        replay_hosted(&tenant.net, &tenant.artifact, &rendered, hub.ctx())
                             .expect("hosted replay");
                     assert_eq!(
                         outcome.served, outcome.expected,

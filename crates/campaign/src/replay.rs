@@ -52,7 +52,6 @@ pub fn replay_hosted(
     net: &Network,
     artifact_bytes: &[u8],
     rendered: &RenderedCampaign,
-    seed: u64,
     tel: TelemetryCtx<'_>,
 ) -> Result<ReplayOutcome, CampaignError> {
     let span = tel.span("campaign.replay");
@@ -76,7 +75,7 @@ pub fn replay_hosted(
     let addr = server.local_addr();
 
     let session_id = format!("campaign-{}", net.name().to_lowercase());
-    let body = format!("{{\"network\":\"{}\",\"seed\":{seed}}}", net.name());
+    let body = format!("{{\"network\":\"{}\"}}", net.name());
     let resp = client::put_json(addr, &format!("/v1/sessions/{session_id}"), &body)
         .map_err(|e| replay_err("create session", e))?;
     if resp.status != 200 {
@@ -85,7 +84,7 @@ pub fn replay_hosted(
 
     let reference_artifact =
         ProfileArtifact::from_bytes(artifact_bytes).map_err(|e| replay_err("artifact", e))?;
-    let mut reference = HostedSession::from_artifact(net.clone(), reference_artifact, seed)
+    let mut reference = HostedSession::from_artifact(net.clone(), reference_artifact, 0)
         .map_err(|e| replay_err("reference session", e))?;
 
     let mut batches = 0u64;

@@ -160,9 +160,9 @@ fn hosted_replay_matches_lockstep_reference_and_repeats() {
     .expect("render");
 
     // Detections through an in-process session are repeatable.
-    let detections = |seed: u64| {
+    let detections = || {
         let art = ProfileArtifact::from_bytes(&artifact).expect("decode");
-        let mut session = HostedSession::from_artifact(net.clone(), art, seed).expect("session");
+        let mut session = HostedSession::from_artifact(net.clone(), art, 0).expect("session");
         for (&t, row) in rendered.times.iter().zip(&rendered.readings) {
             session
                 .ingest(t, row, TelemetryCtx::none())
@@ -174,16 +174,16 @@ fn hosted_replay_matches_lockstep_reference_and_repeats() {
             .map(|d| (d.time, d.leak_nodes.clone()))
             .collect::<Vec<_>>()
     };
-    assert_eq!(detections(7), detections(7));
+    assert_eq!(detections(), detections());
 
     // The hosted arm serves exactly the lockstep reference's detections,
     // and its telemetry event stream is byte-identical across runs.
     let outcome =
-        replay_hosted(&net, &artifact, &rendered, 7, TelemetryCtx::none()).expect("hosted replay");
+        replay_hosted(&net, &artifact, &rendered, TelemetryCtx::none()).expect("hosted replay");
     assert_eq!(outcome.dropped, 0, "served must not drop detections");
     assert_eq!(outcome.served, outcome.expected);
     assert_eq!(outcome.batches, SLOTS);
-    let again = replay_hosted(&net, &artifact, &rendered, 7, TelemetryCtx::none())
+    let again = replay_hosted(&net, &artifact, &rendered, TelemetryCtx::none())
         .expect("hosted replay again");
     assert_eq!(outcome.events, again.events);
 }

@@ -72,7 +72,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 4. Hosted replay: stream the trace through a live aqua-serve
     //    session; the lockstep in-process reference must see identical
     //    detections (dropped = 0 is the acceptance bar).
-    let outcome = replay_hosted(&net, &artifact, &rendered, 7, hub.ctx())?;
+    let outcome = replay_hosted(&net, &artifact, &rendered, hub.ctx())?;
     println!(
         "hosted replay: {} batches, {} served detections, {} dropped",
         outcome.batches,
