@@ -126,18 +126,6 @@ impl std::fmt::Display for ArtifactError {
 
 impl std::error::Error for ArtifactError {}
 
-/// Wraps `payload` in the magic/version/length/CRC container.
-pub fn encode_container(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(MAGIC.len() + 12 + payload.len() + 4);
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(payload);
-    let crc = crc32(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
-}
-
 /// Validates magic, version, length and checksum; returns the payload.
 pub fn decode_container(bytes: &[u8]) -> Result<&[u8], ArtifactError> {
     let header = MAGIC.len() + 4 + 8;
@@ -178,10 +166,31 @@ pub fn decode_container(bytes: &[u8]) -> Result<&[u8], ArtifactError> {
     Ok(payload)
 }
 
-/// Builds the named-section payload of a container.
-#[derive(Debug, Default)]
+/// Writes a container in one buffer: the header, then each section
+/// straight after the last, then the checksum. The payload length, the
+/// section count and each section's length start as placeholders and are
+/// patched once known, so no section or payload is ever copied.
+#[derive(Debug)]
 pub struct SectionWriter {
-    sections: Vec<(String, Vec<u8>)>,
+    out: Writer,
+    names: Vec<String>,
+}
+
+/// Where the payload length sits: after the magic and the version.
+const PAYLOAD_LEN_AT: usize = MAGIC.len() + 4;
+
+impl Default for SectionWriter {
+    fn default() -> Self {
+        let mut out = Writer::new();
+        out.raw(MAGIC);
+        out.u32(FORMAT_VERSION);
+        out.u64(0); // payload length
+        out.u32(0); // section count
+        SectionWriter {
+            out,
+            names: Vec::new(),
+        }
+    }
 }
 
 impl SectionWriter {
@@ -190,26 +199,31 @@ impl SectionWriter {
         SectionWriter::default()
     }
 
-    /// Appends a section. Names must be unique; order is preserved and is
-    /// part of the canonical encoding.
-    pub fn section(&mut self, name: &str, body: Writer) {
+    /// Appends a section whose body `write` writes. Names must be unique;
+    /// order is preserved and is part of the canonical encoding.
+    pub fn section(&mut self, name: &str, write: impl FnOnce(&mut Writer)) {
         assert!(
-            self.sections.iter().all(|(n, _)| n != name),
+            self.names.iter().all(|n| n != name),
             "duplicate section {name:?}"
         );
-        self.sections.push((name.to_string(), body.into_bytes()));
+        self.names.push(name.to_string());
+        self.out.str(name);
+        let body = self.out.open_len_prefix();
+        write(&mut self.out);
+        self.out.close_len_prefix(body);
     }
 
-    /// Encodes the section table and wraps it in the checksummed container.
+    /// Patches the payload length and the section count, and appends the
+    /// checksum: the finished container.
     pub fn into_container(self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.u32(self.sections.len() as u32);
-        for (name, body) in &self.sections {
-            w.str(name);
-            w.len_prefix(body.len());
-            w.raw(body);
-        }
-        encode_container(&w.into_bytes())
+        let mut bytes = self.out.into_bytes();
+        let payload = (bytes.len() - PAYLOAD_LEN_AT - 8) as u64;
+        bytes[PAYLOAD_LEN_AT..PAYLOAD_LEN_AT + 8].copy_from_slice(&payload.to_le_bytes());
+        let count = self.names.len() as u32;
+        bytes[PAYLOAD_LEN_AT + 8..PAYLOAD_LEN_AT + 12].copy_from_slice(&count.to_le_bytes());
+        let crc = crc32(&bytes);
+        bytes.extend_from_slice(&crc.to_le_bytes());
+        bytes
     }
 }
 
@@ -266,14 +280,54 @@ mod tests {
 
     fn sample_container() -> Vec<u8> {
         let mut sw = SectionWriter::new();
+        sw.section("meta", |meta| {
+            meta.str("epa-net");
+            meta.u64(91);
+        });
+        sw.section("weights", |w| vec![1.5f64, -2.25, 0.0].encode(w));
+        sw.into_container()
+    }
+
+    /// The container as the section table was laid out before sections
+    /// were written in place: each body in a buffer of its own, the table
+    /// in another, then the header and checksum around a copy of it.
+    fn copied_container(sections: &[(&str, Vec<u8>)]) -> Vec<u8> {
+        let mut table = Writer::new();
+        table.u32(sections.len() as u32);
+        for (name, body) in sections {
+            table.str(name);
+            table.len_prefix(body.len());
+            table.raw(body);
+        }
+        let payload = table.into_bytes();
+        let mut out = MAGIC.to_vec();
+        out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        out.extend_from_slice(&payload);
+        let crc = crc32(&out);
+        out.extend_from_slice(&crc.to_le_bytes());
+        out
+    }
+
+    #[test]
+    fn sections_written_in_place_give_the_copied_layout() {
         let mut meta = Writer::new();
         meta.str("epa-net");
         meta.u64(91);
-        sw.section("meta", meta);
         let mut weights = Writer::new();
         vec![1.5f64, -2.25, 0.0].encode(&mut weights);
-        sw.section("weights", weights);
-        sw.into_container()
+        let expected = copied_container(&[
+            ("meta", meta.into_bytes()),
+            ("weights", weights.into_bytes()),
+        ]);
+        assert_eq!(sample_container(), expected);
+        assert_eq!(SectionWriter::new().into_container(), copied_container(&[]));
+        let mut empty_body = SectionWriter::new();
+        empty_body.section("meta", |_| {});
+        assert_eq!(
+            empty_body.into_container(),
+            copied_container(&[("meta", Vec::new())])
+        );
     }
 
     #[test]

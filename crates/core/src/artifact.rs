@@ -16,7 +16,7 @@
 use std::path::Path;
 use std::time::Duration;
 
-use aqua_artifact::{ArtifactError, Codec, SectionReader, SectionWriter, Writer};
+use aqua_artifact::{ArtifactError, Codec, SectionReader, SectionWriter};
 use aqua_fusion::TuningConfig;
 use aqua_hydraulics::Snapshot;
 use aqua_ml::{MultiOutputModel, Scaler};
@@ -75,8 +75,8 @@ pub struct ProfileArtifact {
 
 impl ProfileArtifact {
     /// Captures a trained profile (and the deployment that produced it)
-    /// into an artifact. Takes the profile by value: the model holds boxed
-    /// classifiers and is not `Clone`. Recover it with
+    /// into an artifact. Takes the profile by value: the model is not
+    /// `Clone`. Recover it with
     /// [`ProfileArtifact::into_profile`].
     pub fn capture(aqua: &AquaScale<'_>, profile: ProfileModel) -> ProfileArtifact {
         let net = aqua.network();
@@ -142,50 +142,28 @@ impl ProfileArtifact {
         Ok(())
     }
 
-    /// Serializes into the versioned, checksummed container format.
+    /// Serializes into the versioned, checksummed container format. Every
+    /// section is written straight into the one output buffer.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut sections = SectionWriter::new();
-
-        let mut meta = Writer::new();
-        meta.str(&self.network_id);
-        meta.len_prefix(self.node_count);
-        meta.len_prefix(self.link_count);
-        meta.len_prefix(self.train_samples);
-        meta.u64(self.seed);
-        // Nanoseconds as u64: exact round-trip (f64 seconds would not be).
-        meta.u64(self.training_time.as_nanos().min(u64::MAX as u128) as u64);
-        sections.section("meta", meta);
-
-        let mut w = Writer::new();
-        self.sensors.encode(&mut w);
-        sections.section("sensors", w);
-
-        let mut w = Writer::new();
-        self.junctions.encode(&mut w);
-        sections.section("junctions", w);
-
-        let mut w = Writer::new();
-        self.scaler.encode(&mut w);
-        sections.section("scaler", w);
-
-        let mut w = Writer::new();
-        self.model.encode(&mut w);
-        sections.section("model", w);
-
-        let mut w = Writer::new();
-        self.features.encode(&mut w);
-        sections.section("features", w);
-
-        let mut w = Writer::new();
-        self.tuning.encode(&mut w);
-        sections.section("tuning", w);
-
+        sections.section("meta", |meta| {
+            meta.str(&self.network_id);
+            meta.len_prefix(self.node_count);
+            meta.len_prefix(self.link_count);
+            meta.len_prefix(self.train_samples);
+            meta.u64(self.seed);
+            // Nanoseconds as u64: exact round-trip (f64 seconds would not be).
+            meta.u64(self.training_time.as_nanos().min(u64::MAX as u128) as u64);
+        });
+        sections.section("sensors", |w| self.sensors.encode(w));
+        sections.section("junctions", |w| self.junctions.encode(w));
+        sections.section("scaler", |w| self.scaler.encode(w));
+        sections.section("model", |w| self.model.encode(w));
+        sections.section("features", |w| self.features.encode(w));
+        sections.section("tuning", |w| self.tuning.encode(w));
         if let Some(baseline) = &self.baseline {
-            let mut w = Writer::new();
-            baseline.encode(&mut w);
-            sections.section("baseline", w);
+            sections.section("baseline", |w| baseline.encode(w));
         }
-
         sections.into_container()
     }
 
@@ -335,12 +313,8 @@ mod tests {
         // Forward-compat: an artifact with a section this version does not
         // understand must refuse to load rather than silently drop state.
         let mut sections = SectionWriter::new();
-        let mut w = Writer::new();
-        w.u64(7);
-        sections.section("meta", w);
-        let mut w = Writer::new();
-        w.u64(9);
-        sections.section("quantum-calibration", w);
+        sections.section("meta", |w| w.u64(7));
+        sections.section("quantum-calibration", |w| w.u64(9));
         let bytes = sections.into_container();
         match ProfileArtifact::from_bytes(&bytes) {
             Err(ArtifactError::UnknownSection { name }) => {

@@ -8,7 +8,7 @@
 //! hosted sessions by network id behind sharded locks, so concurrent
 //! requests against *different* sessions never contend on one mutex.
 
-use aqua_artifact::{Codec, SectionReader, SectionWriter, Writer};
+use aqua_artifact::{Codec, SectionReader, SectionWriter};
 use aqua_net::Network;
 use aqua_sensing::SensorSet;
 use aqua_telemetry::sync::Arc;
@@ -174,17 +174,12 @@ impl HostedSession {
     /// **bit-identically** from the checkpointed slot.
     pub fn checkpoint(&self) -> Vec<u8> {
         let mut sections = SectionWriter::new();
-
-        let mut meta = Writer::new();
-        meta.str(self.net.name());
-        meta.len_prefix(self.channels());
-        meta.u64(self.state.slots_observed());
-        sections.section("ckpt.meta", meta);
-
-        let mut w = Writer::new();
-        self.state.encode(&mut w);
-        sections.section("ckpt.state", w);
-
+        sections.section("ckpt.meta", |meta| {
+            meta.str(self.net.name());
+            meta.len_prefix(self.channels());
+            meta.u64(self.state.slots_observed());
+        });
+        sections.section("ckpt.state", |w| self.state.encode(w));
         sections.into_container()
     }
 

@@ -349,8 +349,8 @@ fn checkpoints_whose_state_width_differs_from_the_session_are_refused() {
     let mut state = Writer::new();
     SessionState::new(channels - 1).encode(&mut state);
     let mut sections = SectionWriter::new();
-    sections.section("ckpt.meta", meta);
-    sections.section("ckpt.state", state);
+    sections.section("ckpt.meta", |w| w.raw(&meta.into_bytes()));
+    sections.section("ckpt.state", |w| w.raw(&state.into_bytes()));
     let crafted = sections.into_container();
 
     let before = target.checkpoint();

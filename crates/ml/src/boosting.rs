@@ -17,7 +17,7 @@ use crate::classifier::{Classifier, Prepared};
 use crate::dataset::holdout_indices;
 use crate::error::MlError;
 use crate::matrix::Matrix;
-use crate::tree::{check_tree_features, Criterion, DecisionTreeConfig, GrownTree, SplitStrategy};
+use crate::tree::{Criterion, DecisionTreeConfig, GrownTree, SplitStrategy};
 
 /// Below this many training samples, early stopping deactivates: a holdout
 /// carved from a tiny set is too noisy to govern round counts.
@@ -141,9 +141,9 @@ impl GradientBoostingConfig {
 #[derive(Debug, Clone)]
 pub struct GradientBoosting {
     config: GradientBoostingConfig,
-    seed: u64,
-    init_score: f64,
-    stages: Vec<GrownTree>,
+    pub(crate) seed: u64,
+    pub(crate) init_score: f64,
+    pub(crate) stages: Vec<GrownTree>,
     n_features: Option<usize>,
 }
 
@@ -305,14 +305,6 @@ impl Classifier for GradientBoosting {
             .map(|row| sigmoid(self.raw_score(row)))
             .collect())
     }
-
-    fn boosting_rounds(&self) -> Option<usize> {
-        Some(self.stage_count())
-    }
-
-    fn encode_state(&self, w: &mut Writer) {
-        Codec::encode(self, w);
-    }
 }
 
 impl Codec for GradientBoostingConfig {
@@ -333,27 +325,6 @@ impl Codec for GradientBoostingConfig {
             split: Codec::decode(r)?,
             early_stopping: Codec::decode(r)?,
         })
-    }
-}
-
-impl Codec for GradientBoosting {
-    fn encode(&self, w: &mut Writer) {
-        self.config.encode(w);
-        w.u64(self.seed);
-        w.f64(self.init_score);
-        self.stages.encode(w);
-        self.n_features.encode(w);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, ArtifactError> {
-        let model = GradientBoosting {
-            config: Codec::decode(r)?,
-            seed: r.u64()?,
-            init_score: r.f64()?,
-            stages: Codec::decode(r)?,
-            n_features: Codec::decode(r)?,
-        };
-        check_tree_features(&model.stages, model.n_features)?;
-        Ok(model)
     }
 }
 
@@ -542,28 +513,5 @@ mod tests {
             let mut r = Reader::new(&bytes);
             assert_eq!(GradientBoostingConfig::decode(&mut r).unwrap(), cfg);
         }
-    }
-
-    #[test]
-    fn decode_refuses_a_stage_wider_than_the_model() {
-        let split = crate::tree::TreeNode::Split {
-            feature: 2,
-            threshold: 0.5,
-            left: 1,
-            right: 2,
-        };
-        let leaf = crate::tree::TreeNode::Leaf { value: 0.1 };
-        let model = GradientBoosting {
-            stages: vec![GrownTree::from_parts(vec![split, leaf.clone(), leaf], 3)],
-            n_features: Some(1),
-            ..GradientBoosting::default()
-        };
-        let mut w = Writer::new();
-        model.encode(&mut w);
-        let bytes = w.into_bytes();
-        assert!(matches!(
-            GradientBoosting::decode(&mut Reader::new(&bytes)),
-            Err(ArtifactError::Malformed { .. })
-        ));
     }
 }

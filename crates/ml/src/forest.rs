@@ -9,9 +9,7 @@ use crate::classifier::util::{balanced_indices, check_fit, check_predict};
 use crate::classifier::{Classifier, Prepared};
 use crate::error::MlError;
 use crate::matrix::Matrix;
-use crate::tree::{
-    check_tree_features, multiplicities, Criterion, DecisionTreeConfig, GrownTree, SplitStrategy,
-};
+use crate::tree::{multiplicities, Criterion, DecisionTreeConfig, GrownTree, SplitStrategy};
 
 /// Hyperparameters for [`RandomForest`].
 #[derive(Debug, Clone, PartialEq)]
@@ -48,8 +46,8 @@ impl Default for RandomForestConfig {
 #[derive(Debug, Clone)]
 pub struct RandomForest {
     config: RandomForestConfig,
-    seed: u64,
-    trees: Vec<GrownTree>,
+    pub(crate) seed: u64,
+    pub(crate) trees: Vec<GrownTree>,
     n_features: Option<usize>,
 }
 
@@ -155,10 +153,6 @@ impl Classifier for RandomForest {
             })
             .collect())
     }
-
-    fn encode_state(&self, w: &mut Writer) {
-        Codec::encode(self, w);
-    }
 }
 
 impl Codec for RandomForestConfig {
@@ -176,29 +170,9 @@ impl Codec for RandomForestConfig {
     }
 }
 
-impl Codec for RandomForest {
-    fn encode(&self, w: &mut Writer) {
-        self.config.encode(w);
-        w.u64(self.seed);
-        self.trees.encode(w);
-        self.n_features.encode(w);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, ArtifactError> {
-        let forest = RandomForest {
-            config: Codec::decode(r)?,
-            seed: r.u64()?,
-            trees: Codec::decode(r)?,
-            n_features: Codec::decode(r)?,
-        };
-        check_tree_features(&forest.trees, forest.n_features)?;
-        Ok(forest)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tree::TreeNode;
 
     fn ring_data(n: usize) -> (Matrix, Vec<u8>) {
         // Points inside radius 1 are positive — nonlinear boundary.
@@ -264,61 +238,6 @@ mod tests {
             RandomForest::default().predict_proba(&x),
             Err(MlError::NotFitted)
         );
-    }
-
-    /// The bytes of a fitted-looking two-feature forest holding `tree`.
-    fn forest_bytes(tree: GrownTree) -> Vec<u8> {
-        let forest = RandomForest {
-            config: RandomForestConfig::default(),
-            seed: 0,
-            trees: vec![tree],
-            n_features: Some(2),
-        };
-        let mut w = Writer::new();
-        forest.encode(&mut w);
-        w.into_bytes()
-    }
-
-    fn assert_malformed(tree: GrownTree) {
-        let bytes = forest_bytes(tree);
-        match RandomForest::decode(&mut Reader::new(&bytes)) {
-            Err(ArtifactError::Malformed { .. }) => {}
-            other => panic!("expected Malformed, got {other:?}"),
-        }
-    }
-
-    fn split(feature: usize, left: usize, right: usize) -> TreeNode {
-        TreeNode::Split {
-            feature,
-            threshold: 0.5,
-            left,
-            right,
-        }
-    }
-
-    const LEAF: TreeNode = TreeNode::Leaf { value: 1.0 };
-
-    #[test]
-    fn decode_refuses_a_split_that_is_its_own_child() {
-        // Predict would walk node 0 forever.
-        assert_malformed(GrownTree::from_parts(vec![split(0, 0, 1), LEAF], 2));
-    }
-
-    #[test]
-    fn decode_refuses_a_split_feature_outside_the_tree() {
-        // Predict would index row[7] of a 2-feature row.
-        assert_malformed(GrownTree::from_parts(vec![split(7, 1, 2), LEAF, LEAF], 2));
-    }
-
-    #[test]
-    fn decode_refuses_a_tree_without_nodes() {
-        assert_malformed(GrownTree::from_parts(Vec::new(), 2));
-    }
-
-    #[test]
-    fn decode_refuses_a_tree_wider_than_its_forest() {
-        // Feature 5 fits the tree's own 9 columns, not the forest's 2.
-        assert_malformed(GrownTree::from_parts(vec![split(5, 1, 2), LEAF, LEAF], 9));
     }
 
     #[test]

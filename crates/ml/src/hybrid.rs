@@ -34,9 +34,9 @@ pub struct HybridRslConfig {
 #[derive(Debug, Clone)]
 pub struct HybridRsl {
     config: HybridRslConfig,
-    forest: RandomForest,
-    svm: LinearSvm,
-    fusion: LogisticRegression,
+    pub(crate) forest: RandomForest,
+    pub(crate) svm: LinearSvm,
+    pub(crate) fusion: LogisticRegression,
     fitted: bool,
 }
 
@@ -144,10 +144,6 @@ impl Classifier for HybridRsl {
         let meta = self.meta_features(x)?;
         self.fusion.predict_proba(&meta)
     }
-
-    fn encode_state(&self, w: &mut Writer) {
-        Codec::encode(self, w);
-    }
 }
 
 impl Codec for HybridRslConfig {
@@ -163,25 +159,6 @@ impl Codec for HybridRslConfig {
             svm: Codec::decode(r)?,
             fusion: Codec::decode(r)?,
             passthrough_features: r.bool()?,
-        })
-    }
-}
-
-impl Codec for HybridRsl {
-    fn encode(&self, w: &mut Writer) {
-        self.config.encode(w);
-        self.forest.encode(w);
-        self.svm.encode(w);
-        self.fusion.encode(w);
-        w.bool(self.fitted);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, ArtifactError> {
-        Ok(HybridRsl {
-            config: Codec::decode(r)?,
-            forest: Codec::decode(r)?,
-            svm: Codec::decode(r)?,
-            fusion: Codec::decode(r)?,
-            fitted: r.bool()?,
         })
     }
 }
@@ -259,8 +236,9 @@ mod tests {
     }
 
     /// A block of four steps its SVMs together and a block of five fits
-    /// them one at a time; either way every output encodes to the bytes
-    /// of a lone fit.
+    /// them one at a time; either way every output holds the state of a
+    /// lone fit (`Debug` prints every field, each float to its shortest
+    /// round-trip form).
     #[test]
     fn block_fits_match_lone_fits_bytewise() {
         let (x, y) = mixed_data(120);
@@ -280,10 +258,11 @@ mod tests {
             for (j, fit) in block.into_iter().enumerate() {
                 let mut alone = HybridRsl::with_config(HybridRslConfig::default(), seeds[j]);
                 alone.fit(&x, ys[j]).unwrap();
-                let (mut a, mut b) = (Writer::new(), Writer::new());
-                fit.unwrap().encode(&mut a);
-                alone.encode(&mut b);
-                assert_eq!(a.into_bytes(), b.into_bytes(), "output {j} of {outputs}");
+                assert_eq!(
+                    format!("{:?}", fit.unwrap()),
+                    format!("{alone:?}"),
+                    "output {j} of {outputs}"
+                );
             }
         }
     }

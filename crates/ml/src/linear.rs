@@ -2,7 +2,7 @@
 
 use aqua_artifact::{ArtifactError, Codec, Reader, Writer};
 
-use crate::classifier::util::{check_fit, check_predict, decode_linear_weights, sigmoid};
+use crate::classifier::util::{check_fit, check_predict, sigmoid};
 use crate::classifier::{Classifier, Prepared};
 use crate::dense::Cholesky;
 use crate::error::MlError;
@@ -14,7 +14,7 @@ use crate::matrix::Matrix;
 pub struct LinearRegressionClassifier {
     /// Ridge regularization strength (tiny by default for conditioning).
     pub ridge: f64,
-    weights: Option<Vec<f64>>, // last entry is the intercept
+    pub(crate) weights: Option<Vec<f64>>, // last entry is the intercept
 }
 
 impl LinearRegressionClassifier {
@@ -24,6 +24,11 @@ impl LinearRegressionClassifier {
             ridge,
             weights: None,
         }
+    }
+
+    /// The fitted weights `[w..., intercept]`, if fitted.
+    pub fn weights(&self) -> Option<&[f64]> {
+        self.weights.as_deref()
     }
 
     /// The ridge actually applied: `ridge`, or 1e-6 when it is not
@@ -91,10 +96,6 @@ impl Classifier for LinearRegressionClassifier {
             .map(|row| self.score(row, w).clamp(0.0, 1.0))
             .collect())
     }
-
-    fn encode_state(&self, w: &mut Writer) {
-        Codec::encode(self, w);
-    }
 }
 
 /// The label-independent half of LinearR's normal equations: the Cholesky
@@ -143,19 +144,6 @@ impl GramFactor {
     }
 }
 
-impl Codec for LinearRegressionClassifier {
-    fn encode(&self, w: &mut Writer) {
-        w.f64(self.ridge);
-        self.weights.encode(w);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, ArtifactError> {
-        Ok(LinearRegressionClassifier {
-            ridge: r.f64()?,
-            weights: decode_linear_weights(r)?,
-        })
-    }
-}
-
 /// Hyperparameters for [`LogisticRegression`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct LogisticRegressionConfig {
@@ -187,7 +175,7 @@ impl Default for LogisticRegressionConfig {
 #[derive(Debug, Clone)]
 pub struct LogisticRegression {
     config: LogisticRegressionConfig,
-    weights: Option<Vec<f64>>, // last entry is the intercept
+    pub(crate) weights: Option<Vec<f64>>, // last entry is the intercept
 }
 
 impl Default for LogisticRegression {
@@ -280,10 +268,6 @@ impl Classifier for LogisticRegression {
             })
             .collect())
     }
-
-    fn encode_state(&self, w: &mut Writer) {
-        Codec::encode(self, w);
-    }
 }
 
 impl Codec for LogisticRegressionConfig {
@@ -299,19 +283,6 @@ impl Codec for LogisticRegressionConfig {
             max_iterations: usize::decode(r)?,
             tolerance: r.f64()?,
             balance_classes: r.bool()?,
-        })
-    }
-}
-
-impl Codec for LogisticRegression {
-    fn encode(&self, w: &mut Writer) {
-        self.config.encode(w);
-        self.weights.encode(w);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, ArtifactError> {
-        Ok(LogisticRegression {
-            config: Codec::decode(r)?,
-            weights: decode_linear_weights(r)?,
         })
     }
 }
@@ -428,47 +399,6 @@ mod tests {
             .predict_proba(&Matrix::from_rows(&[&[2.0]]))
             .unwrap();
         assert!(p[0] > 0.5, "balanced model must catch the minority class");
-    }
-
-    /// Decodes `model`'s encoding as `M`.
-    fn round_trip<M: Codec>(model: &M) -> Result<M, ArtifactError> {
-        let mut w = Writer::new();
-        model.encode(&mut w);
-        let bytes = w.into_bytes();
-        M::decode(&mut Reader::new(&bytes))
-    }
-
-    #[test]
-    fn linear_r_decode_refuses_fitted_weights_without_a_bias() {
-        let empty = LinearRegressionClassifier {
-            weights: Some(Vec::new()),
-            ..LinearRegressionClassifier::default()
-        };
-        assert!(matches!(
-            round_trip(&empty),
-            Err(ArtifactError::Malformed { .. })
-        ));
-        let bias_only = LinearRegressionClassifier {
-            weights: Some(vec![0.5]),
-            ..LinearRegressionClassifier::default()
-        };
-        assert_eq!(round_trip(&bias_only).unwrap().weights, Some(vec![0.5]));
-    }
-
-    #[test]
-    fn logistic_r_decode_refuses_fitted_weights_without_a_bias() {
-        let empty = LogisticRegression {
-            weights: Some(Vec::new()),
-            ..LogisticRegression::default()
-        };
-        assert!(matches!(
-            round_trip(&empty),
-            Err(ArtifactError::Malformed { .. })
-        ));
-        assert_eq!(
-            round_trip(&LogisticRegression::default()).unwrap().weights,
-            None
-        );
     }
 
     #[test]

@@ -150,13 +150,12 @@ fn bank_equals_per_output_normal_equations_bit_for_bit() {
             );
         }
         // A lone fit takes the same path.
+        let bits = |w: &[f64]| -> Vec<u64> { w.iter().map(|v| v.to_bits()).collect() };
         for y in &labels {
             let mut clf = LinearRegressionClassifier::default();
             clf.fit(&x, y).expect("SPD Gram");
-            let mut w = Writer::new();
-            clf.encode_state(&mut w);
             assert!(
-                w.into_bytes() == oracle_state(&x, y),
+                clf.weights().map(bits) == oracle_weights(&x, y).as_deref().map(bits),
                 "{n}×{cols}: lone fit differs"
             );
         }

@@ -581,16 +581,7 @@ impl<'a> DatasetBuilder<'a> {
         let x = x.unwrap_or_else(|| Matrix::with_cols(0));
 
         let junctions = self.sampler.junctions.clone();
-        let t_active = self.sampler.leak_start;
-        let labels: Vec<Vec<u8>> = junctions
-            .iter()
-            .map(|&j| {
-                scenarios
-                    .iter()
-                    .map(|sc| u8::from(sc.true_leak_nodes(t_active).contains(&j)))
-                    .collect()
-            })
-            .collect();
+        let labels = leak_labels(&junctions, &scenarios, self.sampler.leak_start);
 
         if tel.enabled() {
             tel.add("sensing.build.samples", n_samples as u64);
@@ -638,6 +629,26 @@ impl<'a> DatasetBuilder<'a> {
     }
 }
 
+/// `labels[v][s] = 1` iff a leak at `junctions[v]` is active at `t` in
+/// scenario `s`: one pass over each scenario's leaks, through a map from
+/// node to output.
+fn leak_labels(junctions: &[NodeId], scenarios: &[Scenario], t: u64) -> Vec<Vec<u8>> {
+    let span = junctions.iter().map(|j| j.index() + 1).max().unwrap_or(0);
+    let mut output_of: Vec<Vec<usize>> = vec![Vec::new(); span];
+    for (v, j) in junctions.iter().enumerate() {
+        output_of[j.index()].push(v);
+    }
+    let mut labels = vec![vec![0u8; scenarios.len()]; junctions.len()];
+    for (s, scenario) in scenarios.iter().enumerate() {
+        for leak in scenario.leaks.iter().filter(|leak| leak.active_at(t)) {
+            for &v in output_of.get(leak.node.index()).into_iter().flatten() {
+                labels[v][s] = 1;
+            }
+        }
+    }
+    labels
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -676,6 +687,43 @@ mod tests {
             let n_pos = truth.iter().filter(|&&v| v == 1).count();
             assert_eq!(n_pos, sc.true_leak_nodes(8 * 900).len());
         }
+    }
+
+    #[test]
+    fn labels_match_the_per_junction_form_on_a_multi_leak_corpus() {
+        let net = synth::epa_net();
+        let sampler = ScenarioSampler::new(&net);
+        let t = sampler.leak_start;
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut scenarios: Vec<Scenario> = (0..60).map(|_| sampler.sample(&mut rng)).collect();
+        // A repeated node, a leak not yet open at `t`, and a node that is
+        // no candidate.
+        let j = sampler.junctions[3];
+        let not_a_junction = (0..net.node_count())
+            .map(NodeId::from_index)
+            .find(|n| !sampler.junctions.contains(n))
+            .expect("EPA-NET has tanks and reservoirs");
+        scenarios[0].leaks.push(LeakEvent::new(j, 0.01, t));
+        scenarios[0].leaks.push(LeakEvent::new(j, 0.02, t));
+        scenarios[1].leaks.push(LeakEvent::new(j, 0.01, t + 1));
+        scenarios[2]
+            .leaks
+            .push(LeakEvent::new(not_a_junction, 0.01, t));
+        assert!(scenarios.iter().filter(|s| s.leaks.len() > 1).count() > 10);
+        // Duplicate candidates get the same labels.
+        let mut junctions = sampler.junctions.clone();
+        junctions.push(j);
+        let per_junction: Vec<Vec<u8>> = junctions
+            .iter()
+            .map(|&j| {
+                scenarios
+                    .iter()
+                    .map(|sc| u8::from(sc.true_leak_nodes(t).contains(&j)))
+                    .collect()
+            })
+            .collect();
+        assert_eq!(leak_labels(&junctions, &scenarios, t), per_junction);
+        assert_eq!(per_junction[3][1], 0, "a leak opening after t is no label");
     }
 
     #[test]

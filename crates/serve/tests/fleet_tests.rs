@@ -143,14 +143,13 @@ fn cyclic_forest_upload(net: &Network, bytes: &[u8]) -> Vec<u8> {
     let sections = SectionReader::open(bytes, &names).expect("sections");
     let mut out = SectionWriter::new();
     for name in names.into_iter().filter(|name| sections.has(name)) {
-        let mut body = Writer::new();
-        if name == "model" {
-            body.raw(&model);
+        let mut r = sections.section(name).expect("section");
+        let body = if name == "model" {
+            &model
         } else {
-            let mut r = sections.section(name).expect("section");
-            body.raw(r.take(r.remaining()).expect("body"));
-        }
-        out.section(name, body);
+            r.take(r.remaining()).expect("body")
+        };
+        out.section(name, |w| w.raw(body));
     }
     out.into_container()
 }
