@@ -3,7 +3,9 @@
 //!
 //! Each test trains an EPA-NET profile (60 noise-free scenarios, 2
 //! threads; 240 scenarios for the forest and histogram-CART pins, so their
-//! split scans see heavier nodes) under a [`ManualClock`] that never
+//! split scans see heavier nodes, and for a second SVM and HybridRSL pin,
+//! so that their corpus has more rows than EPA-NET's 233 feature columns)
+//! under a [`ManualClock`] that never
 //! advances, so the recorded `training_time` is zero and the artifact is a
 //! pure function of the code. The FNV-1a-64 digest of `ProfileArtifact::to_bytes()` is compared
 //! against a constant recorded before the trainers were last optimized; a
@@ -74,6 +76,24 @@ fn hybrid_rsl_profile_bytes_are_pinned() {
 #[test]
 fn svm_profile_bytes_are_pinned() {
     assert_eq!(artifact_digest(ModelKind::svm()), 0x9e6a_1603_e0fb_2793);
+}
+
+/// 240 scenarios, more than EPA-NET's 233 feature columns: the SVM steps
+/// its lanes over the feature matrix itself.
+#[test]
+fn svm_profile_bytes_are_pinned_with_more_rows_than_columns() {
+    assert_eq!(
+        artifact_digest_at(ModelKind::svm(), 240),
+        0x6d7a_8a1e_a17d_d92c
+    );
+}
+
+#[test]
+fn hybrid_rsl_profile_bytes_are_pinned_with_more_rows_than_columns() {
+    assert_eq!(
+        artifact_digest_at(ModelKind::hybrid_rsl(), 240),
+        0x065a_3e78_191a_9aa1
+    );
 }
 
 #[test]
