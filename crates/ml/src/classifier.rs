@@ -12,7 +12,7 @@ use crate::linear::{
     GramFactor, LinearRegressionClassifier, LogisticRegression, LogisticRegressionConfig,
 };
 use crate::matrix::Matrix;
-use crate::svm::{LinearSvm, LinearSvmConfig};
+use crate::svm::{KernelMatrix, LinearSvm, LinearSvmConfig};
 use crate::tree::{DecisionTree, DecisionTreeConfig};
 
 /// A binary classifier with probabilistic output — the interface Algorithm 1
@@ -142,13 +142,25 @@ pub enum Prepared {
     Binned(BinnedDataset),
     /// LinearR's ridge Gram matrix, Cholesky-factored.
     Gram(GramFactor),
+    /// The SVM families' kernel matrix `XXᵀ`, on a corpus with fewer rows
+    /// than columns, and beside it HybridRSL's quantization when its
+    /// forest splits on histograms.
+    Kernel(KernelMatrix, Option<BinnedDataset>),
 }
 
 impl Prepared {
-    /// The shared quantization, when this is [`Prepared::Binned`].
+    /// The shared quantization, when there is one.
     pub fn binned(&self) -> Option<&BinnedDataset> {
         match self {
-            Prepared::Binned(b) => Some(b),
+            Prepared::Binned(b) | Prepared::Kernel(_, Some(b)) => Some(b),
+            _ => None,
+        }
+    }
+
+    /// The shared kernel matrix, when there is one.
+    pub fn kernel(&self) -> Option<&KernelMatrix> {
+        match self {
+            Prepared::Kernel(kernel, _) => Some(kernel),
             _ => None,
         }
     }
@@ -265,7 +277,9 @@ impl ModelKind {
 
     /// Builds the label-independent state every output of this family
     /// shares over `x`: the [`BinnedDataset`] for histogram families, the
-    /// factored ridge Gram matrix for LinearR, nothing for the rest.
+    /// factored ridge Gram matrix for LinearR, and for the SVM families on
+    /// a corpus with fewer rows than columns the kernel matrix `XXᵀ`
+    /// (beside HybridRSL's quantization); nothing for the rest.
     ///
     /// # Errors
     ///
@@ -276,19 +290,27 @@ impl ModelKind {
         self.prepare_traced(x, TelemetryCtx::none())
     }
 
-    /// [`prepare`](Self::prepare) under an `ml.train.bin` (quantization) or
-    /// `ml.train.factor` (Gram build and factorization) span.
+    /// [`prepare`](Self::prepare) under an `ml.train.bin` (quantization),
+    /// `ml.train.factor` (Gram build and factorization) or
+    /// `ml.train.kernel` (kernel matrix) span.
     pub(crate) fn prepare_traced(
         &self,
         x: &Matrix,
         tel: TelemetryCtx<'_>,
     ) -> Result<Prepared, MlError> {
-        if let Some(bins) = self.histogram_bins() {
+        let binned = self.histogram_bins().map(|bins| {
             let _span = tel.span("ml.train.bin");
-            return Ok(Prepared::Binned(BinnedDataset::build(x, bins)));
-        }
-        match self {
-            ModelKind::LinearR => {
+            BinnedDataset::build(x, bins)
+        });
+        match (self, binned) {
+            (ModelKind::Svm { .. } | ModelKind::HybridRsl { .. }, binned)
+                if KernelMatrix::applies(x) =>
+            {
+                let _span = tel.span("ml.train.kernel");
+                Ok(Prepared::Kernel(KernelMatrix::new(x), binned))
+            }
+            (_, Some(binned)) => Ok(Prepared::Binned(binned)),
+            (ModelKind::LinearR, None) => {
                 let _span = tel.span("ml.train.factor");
                 let ridge = LinearRegressionClassifier::default().effective_ridge();
                 Ok(Prepared::Gram(GramFactor::new(x, ridge)?))
@@ -331,8 +353,8 @@ impl ModelKind {
     /// [`prepare`](Self::prepare)). Each result is exactly the model
     /// [`build`](Self::build)`(seed + v)` then
     /// [`Classifier::fit_prepared`] gives. The families with an SVM step
-    /// their outputs' Pegasos lanes together; the rest fit each output in
-    /// turn.
+    /// their outputs' Pegasos lanes together, or run each in kernel form
+    /// over `prep`'s kernel matrix; the rest fit each output in turn.
     pub(crate) fn fit_block(
         &self,
         x: &Matrix,
@@ -346,10 +368,12 @@ impl ModelKind {
             .collect();
         let ys: Vec<&[u8]> = labels.iter().map(Vec::as_slice).collect();
         match self {
-            ModelKind::Svm { config } => LinearSvm::fit_block(config, x, &ys, &seeds)
-                .into_iter()
-                .map(|fit| fit.map(|(svm, _)| Fitted::Svm(svm)))
-                .collect(),
+            ModelKind::Svm { config } => {
+                LinearSvm::fit_block(config, x, &ys, &seeds, prep.kernel())
+                    .into_iter()
+                    .map(|fit| fit.map(|(svm, _)| Fitted::Svm(svm)))
+                    .collect()
+            }
             ModelKind::HybridRsl { config } => HybridRsl::fit_block(config, x, &ys, &seeds, prep)
                 .into_iter()
                 .map(|fit| fit.map(|stack| Fitted::HybridRsl(Box::new(stack))))

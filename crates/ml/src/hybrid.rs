@@ -55,8 +55,9 @@ impl HybridRsl {
     /// Fits one stack per label vector `ys[j]`, seeded `seeds[j]`, on the
     /// shared `x`. Each result is exactly what `with_config(config.clone(),
     /// seeds[j])` then `fit_prepared(x, ys[j], prep)` gives. The outputs'
-    /// SVMs step together through [`LinearSvm::fit_block`]; each output's
-    /// forest and fusion layer then fit on their own.
+    /// SVMs fit together through [`LinearSvm::fit_block`], over `prep`'s
+    /// kernel matrix when it holds one; each output's forest and fusion
+    /// layer then fit on their own.
     pub(crate) fn fit_block(
         config: &HybridRslConfig,
         x: &Matrix,
@@ -69,7 +70,7 @@ impl HybridRsl {
             .map(|&seed| HybridRsl::with_config(config.clone(), seed))
             .collect();
         let svm_seeds: Vec<u64> = stacks.iter().map(|stack| stack.svm.seed()).collect();
-        let svms = LinearSvm::fit_block(&config.svm, x, ys, &svm_seeds);
+        let svms = LinearSvm::fit_block(&config.svm, x, ys, &svm_seeds, prep.kernel());
         stacks
             .into_iter()
             .zip(ys)
@@ -133,7 +134,7 @@ impl Classifier for HybridRsl {
     }
 
     fn fit_prepared(&mut self, x: &Matrix, y: &[u8], prep: &Prepared) -> Result<(), MlError> {
-        let svm = self.svm.fit_margins(x, y);
+        let svm = self.svm.fit_margins(x, y, prep.kernel());
         self.fit_around(x, y, prep, svm)
     }
 

@@ -56,5 +56,5 @@ pub use linear::{
 };
 pub use matrix::Matrix;
 pub use multioutput::MultiOutputModel;
-pub use svm::{LinearSvm, LinearSvmConfig};
+pub use svm::{KernelMatrix, LinearSvm, LinearSvmConfig};
 pub use tree::{DecisionTree, DecisionTreeConfig, SplitStrategy};

@@ -16,8 +16,10 @@
 //! Whatever the outputs share is built **once** per corpus by
 //! [`ModelKind::prepare`] and read by every per-output fit: the
 //! [`BinnedDataset`](crate::BinnedDataset) of histogram families (span
-//! `ml.train.bin`) or LinearR's factored ridge Gram matrix (span
-//! `ml.train.factor`).
+//! `ml.train.bin`), LinearR's factored ridge Gram matrix (span
+//! `ml.train.factor`) or, on a corpus with fewer rows than columns, the
+//! SVM families' kernel matrix (span `ml.train.kernel`). It is dropped
+//! before the fitted outputs move into the bank's arrays.
 //!
 //! A fitted bank holds no per-output objects (DESIGN.md §10.5). Every tree
 //! of every output sits in one arena of 16-byte [`Node`]s, each tree in
@@ -204,6 +206,9 @@ impl MultiOutputModel {
             .flat_map(|(len, secs)| std::iter::repeat_n(secs / len as f64, len))
             .collect();
         tel.observe_many("ml.train.fit_s", &durs);
+        // The shared state (a kernel matrix can be megabytes) is not held
+        // beside the bank's arrays while they grow.
+        drop(prep);
         // Outputs move into the arrays in order, so the lowest failing
         // output's error is the one returned.
         let mut bank = MultiOutputModel::empty(kind, x.cols());
@@ -1041,14 +1046,34 @@ mod tests {
 
     #[test]
     fn each_family_prepares_once_under_its_own_span() {
-        let (x, labels) = data(60);
-        for (kind, spans) in [
-            (ModelKind::linear_r(), vec!["ml.train.factor"]),
-            (ModelKind::random_forest(), vec!["ml.train.bin"]),
-            (ModelKind::logistic_r(), vec![]),
+        let (narrow, labels) = data(60);
+        // Six rows of eight columns: the SVM families' kernel form.
+        let wide = Matrix::from_vec_rows(
+            (0..6)
+                .map(|i| (0..8).map(|k| ((i * 8 + k) as f64).sin()).collect())
+                .collect(),
+        );
+        let wide_labels: Vec<Vec<u8>> = labels.iter().map(|y| y[..6].to_vec()).collect();
+        for (kind, wide_x, spans) in [
+            (ModelKind::linear_r(), false, vec!["ml.train.factor"]),
+            (ModelKind::random_forest(), false, vec!["ml.train.bin"]),
+            (ModelKind::logistic_r(), false, vec![]),
+            (ModelKind::svm(), false, vec![]),
+            (ModelKind::hybrid_rsl(), false, vec!["ml.train.bin"]),
+            (ModelKind::svm(), true, vec!["ml.train.kernel"]),
+            (
+                ModelKind::hybrid_rsl(),
+                true,
+                vec!["ml.train.bin", "ml.train.kernel"],
+            ),
         ] {
+            let (x, labels) = if wide_x {
+                (&wide, &wide_labels)
+            } else {
+                (&narrow, &labels)
+            };
             let hub = aqua_telemetry::TelemetryHub::new();
-            MultiOutputModel::fit_traced(kind, &x, &labels, 3, 2, hub.ctx()).unwrap();
+            MultiOutputModel::fit_traced(kind, x, labels, 3, 2, hub.ctx()).unwrap();
             let tree = hub.span_tree();
             let children: Vec<&str> = tree[0].children.iter().map(|s| s.name.as_str()).collect();
             assert_eq!(children, spans);

@@ -1,12 +1,14 @@
 //! Linear SVM trained with Pegasos, probabilities via Platt scaling
 //! (the paper's "SVM").
 
+use std::borrow::Cow;
+
 use aqua_artifact::{ArtifactError, Codec, Reader, Writer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::classifier::util::{check_fit, check_predict, sigmoid};
-use crate::classifier::Classifier;
+use crate::classifier::{Classifier, Prepared};
 use crate::error::MlError;
 use crate::matrix::Matrix;
 
@@ -79,14 +81,18 @@ impl LinearSvm {
     /// shared `x`, each with the training margins its Platt scaling was
     /// fitted on. Each SVM is exactly what
     /// `with_config(config.clone(), seeds[j])` then `fit(x, ys[j])` gives.
-    /// A block of [`LANES`] well-formed outputs steps its Pegasos lanes
-    /// together; any other block fits each output alone.
+    /// On a corpus with fewer rows than columns every output runs the
+    /// kernel form over `kernel` (built here when `None`); otherwise a
+    /// block of [`LANES`] well-formed outputs steps its Pegasos lanes
+    /// together, and any other block fits each output alone.
     pub(crate) fn fit_block(
         config: &LinearSvmConfig,
         x: &Matrix,
         ys: &[&[u8]],
         seeds: &[u64],
+        kernel: Option<&KernelMatrix>,
     ) -> Vec<Result<(LinearSvm, Vec<f64>), MlError>> {
+        let kernel = KernelMatrix::for_fit(x, kernel);
         let lanes: Result<Vec<Lane<'_>>, MlError> = ys
             .iter()
             .zip(seeds)
@@ -94,6 +100,7 @@ impl LinearSvm {
             .collect();
         match lanes
             .ok()
+            .filter(|_| kernel.is_none())
             .and_then(|lanes| <[Lane<'_>; LANES]>::try_from(lanes).ok())
         {
             Some(block) => block
@@ -101,24 +108,39 @@ impl LinearSvm {
                 .zip(pegasos(config, x, block))
                 .map(|(lane, w)| LinearSvm::calibrate(config, x, lane, w))
                 .collect(),
-            // A tail block, or labels that do not fit `x`.
+            // The kernel form, a tail block, or labels that do not fit `x`.
             None => ys
                 .iter()
                 .zip(seeds)
-                .map(|(&y, &seed)| LinearSvm::with_config(config.clone(), seed).fit_margins(x, y))
+                .map(|(&y, &seed)| {
+                    LinearSvm::with_config(config.clone(), seed).fit_margins(
+                        x,
+                        y,
+                        kernel.as_deref(),
+                    )
+                })
                 .collect(),
         }
     }
 
     /// [`fit`](Classifier::fit), returning the fitted SVM with its
-    /// training margins.
+    /// training margins. On a corpus with fewer rows than columns Pegasos
+    /// runs in kernel form over `kernel`, or over `x`'s own kernel matrix
+    /// when `kernel` is `None`.
     pub(crate) fn fit_margins(
         &self,
         x: &Matrix,
         y: &[u8],
+        kernel: Option<&KernelMatrix>,
     ) -> Result<(LinearSvm, Vec<f64>), MlError> {
         let lane = Lane::new(&self.config, x, y, self.seed)?;
-        let [w] = pegasos(&self.config, x, [lane]);
+        let w = match KernelMatrix::for_fit(x, kernel) {
+            Some(kernel) => pegasos_kernel(&self.config, x, &kernel, lane),
+            None => {
+                let [w] = pegasos(&self.config, x, [lane]);
+                w
+            }
+        };
         LinearSvm::calibrate(&self.config, x, lane, w)
     }
 
@@ -192,7 +214,13 @@ impl Default for LinearSvm {
 
 impl Classifier for LinearSvm {
     fn fit(&mut self, x: &Matrix, y: &[u8]) -> Result<(), MlError> {
-        (*self, _) = self.fit_margins(x, y)?;
+        (*self, _) = self.fit_margins(x, y, None)?;
+        Ok(())
+    }
+
+    /// Steps over the kernel matrix in `prep`, when it holds one.
+    fn fit_prepared(&mut self, x: &Matrix, y: &[u8], prep: &Prepared) -> Result<(), MlError> {
+        (*self, _) = self.fit_margins(x, y, prep.kernel())?;
         Ok(())
     }
 
@@ -235,6 +263,81 @@ impl<'a> Lane<'a> {
             pos_weight,
         })
     }
+}
+
+/// The kernel matrix `K = XXᵀ` of a corpus with fewer rows than columns:
+/// `K[i][j]` is the dot product of rows `i` and `j`, summed in feature
+/// order. Pegasos steps over it in kernel form (DESIGN.md §10.2), where a
+/// step costs O(1), or O(n) on a hinge violation, instead of O(d).
+/// Built once per corpus by [`ModelKind::prepare`](crate::ModelKind::prepare)
+/// and held in [`Prepared::Kernel`].
+#[derive(Debug, Clone)]
+pub struct KernelMatrix {
+    n: usize,
+    /// Row-major `n × n`, symmetric.
+    k: Vec<f64>,
+}
+
+impl KernelMatrix {
+    /// Whether Pegasos on `x` runs in kernel form: `x` has fewer rows than
+    /// columns, so `K` is smaller than `x` itself. The only selector.
+    pub(crate) fn applies(x: &Matrix) -> bool {
+        x.rows() < x.cols()
+    }
+
+    /// `XXᵀ` of `x`: each row's entries up to the diagonal, four at a
+    /// time so that their dependent sums overlap, then mirrored.
+    pub(crate) fn new(x: &Matrix) -> KernelMatrix {
+        let n = x.rows();
+        let mut k = vec![0.0f64; n * n];
+        for i in 0..n {
+            let row = x.row(i);
+            let (quads, rest) = k[i * n..=i * n + i].as_chunks_mut::<4>();
+            let tail = 4 * quads.len();
+            for (q, dots) in quads.iter_mut().enumerate() {
+                *dots = dot_many(row, std::array::from_fn(|l| x.row(4 * q + l)));
+            }
+            for (j, dot) in (tail..).zip(rest) {
+                [*dot] = dot_many(row, [x.row(j)]);
+            }
+        }
+        for i in 0..n {
+            for j in 0..i {
+                k[j * n + i] = k[i * n + j];
+            }
+        }
+        KernelMatrix { n, k }
+    }
+
+    /// The kernel a fit on `x` steps over, if any: `given` when it was
+    /// built over `x`'s rows, else `x`'s own, and none when
+    /// [`applies`](Self::applies) does not hold.
+    fn for_fit<'k>(x: &Matrix, given: Option<&'k KernelMatrix>) -> Option<Cow<'k, KernelMatrix>> {
+        if !KernelMatrix::applies(x) {
+            return None;
+        }
+        Some(match given {
+            Some(kernel) if kernel.n == x.rows() => Cow::Borrowed(kernel),
+            _ => Cow::Owned(KernelMatrix::new(x)),
+        })
+    }
+
+    fn row(&self, i: usize) -> &[f64] {
+        &self.k[i * self.n..(i + 1) * self.n]
+    }
+}
+
+/// The dot products of `a` with each of `rows`, each summed in feature
+/// order.
+fn dot_many<const L: usize>(a: &[f64], rows: [&[f64]; L]) -> [f64; L] {
+    let rows = rows.map(|r| &r[..a.len()]);
+    let mut acc = [0.0f64; L];
+    for (k, &ak) in a.iter().enumerate() {
+        for j in 0..L {
+            acc[j] += ak * rows[j][k];
+        }
+    }
+    acc
 }
 
 /// Pegasos for `L` outputs over the shared `x`, stepped in lockstep;
@@ -381,6 +484,68 @@ fn shrink_pass<const L: usize>(
         }
     }
     acc
+}
+
+/// Pegasos for one output in kernel form (Shalev-Shwartz et al.,
+/// "Pegasos", Math. Program. 2011, "Using Mercer kernels") over `x`'s
+/// kernel matrix; returns `[weights bias]` as [`pegasos`] does.
+///
+/// The iterates are [`pegasos`]'s: the same seeded visiting order, step
+/// sizes, hinge test and bias step. The weights are held as
+/// `w = s·Σᵢ αᵢ·xᵢ`, a scale `s` and one coefficient per row, beside each
+/// row's unscaled margin `uᵢ = Σⱼ αⱼ·K[i][j]`. A sample's margin is then
+/// `bias + s·uᵢ`, the shrink scales `s`, and a hinge violation at row `i`
+/// adds `step/s` to `αᵢ` and `step/s·K[i]` to `u`. `w` is built once at
+/// the end. Sums run in a different order from [`pegasos`], so the weights
+/// agree to rounding, not bit for bit.
+fn pegasos_kernel(
+    config: &LinearSvmConfig,
+    x: &Matrix,
+    kernel: &KernelMatrix,
+    lane: Lane<'_>,
+) -> Vec<f64> {
+    let n = x.rows();
+    let (lambda, epochs) = (config.lambda, config.epochs);
+    let t0 = 1.0 / lambda;
+    let mut rng = StdRng::seed_from_u64(lane.seed);
+    let mut order: Vec<usize> = (0..n).collect();
+    let mut alpha = vec![0.0f64; n];
+    let mut u = vec![0.0f64; n];
+    let (mut scale, mut bias) = (1.0f64, 0.0f64);
+    let mut t = 0u64;
+    for _ in 0..epochs {
+        for i in (1..n).rev() {
+            order.swap(i, rng.random_range(0..=i));
+        }
+        for &i in &order {
+            t += 1;
+            let eta = 1.0 / (lambda * (t as f64 + t0));
+            let margin = bias + scale * u[i];
+            scale *= 1.0 - eta * lambda;
+            let positive = lane.y[i] == 1;
+            let yi = if positive { 1.0 } else { -1.0 };
+            let sw = if positive { lane.pos_weight } else { 1.0 };
+            if margin * yi < 1.0 {
+                let step = eta * yi * sw;
+                bias += step;
+                let coef = step / scale;
+                alpha[i] += coef;
+                for (uj, &kij) in u.iter_mut().zip(kernel.row(i)) {
+                    *uj += coef * kij;
+                }
+            }
+        }
+    }
+    // Every row, so that a non-finite feature reaches the weights.
+    let mut w = vec![0.0f64; x.cols() + 1];
+    for (i, &a) in alpha.iter().enumerate() {
+        let coef = scale * a;
+        for (wk, &xk) in w.iter_mut().zip(x.row(i)) {
+            *wk += coef * xk;
+        }
+    }
+    w[x.cols()] = bias;
+    w
 }
 
 impl Codec for LinearSvmConfig {
@@ -535,13 +700,63 @@ mod tests {
         w
     }
 
+    fn bits(w: &[f64]) -> Vec<u64> {
+        w.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// `y` on `x` as the first lane of blocks of 1 to 5 outputs, beside
+    /// all-negative, all-positive, sparse and flipped labels on the same
+    /// rows. Every output must equal a lone fit in every field, hand back
+    /// a predict pass's margins, and have weights that `same` accepts
+    /// against the three-pass loop's.
+    fn assert_blocks_match(
+        name: &str,
+        x: &Matrix,
+        y: &[u8],
+        config: &LinearSvmConfig,
+        same: impl Fn(&[f64], &[f64]) -> bool,
+    ) {
+        let n = y.len();
+        let mut sparse = vec![0u8; n];
+        sparse[n / 2] = 1;
+        let flipped: Vec<u8> = y.iter().map(|&v| 1 - v).collect();
+        let labels: [&[u8]; 5] = [y, &vec![0; n], &vec![1; n], &sparse, &flipped];
+        let seeds = [9, 0, 41, 7, 9];
+        for outputs in 1..=labels.len() {
+            let block =
+                LinearSvm::fit_block(config, x, &labels[..outputs], &seeds[..outputs], None);
+            assert_eq!(block.len(), outputs);
+            for (j, fit) in block.into_iter().enumerate() {
+                let (y, seed) = (labels[j], seeds[j]);
+                let (lane, margins) = fit.unwrap();
+                assert_eq!(
+                    bits(&margins),
+                    bits(&lane.decision_function(x).unwrap()),
+                    "{name}: lane {j} margins"
+                );
+                let reference = reference_pegasos(config, seed, x, y);
+                let w = lane.weights.as_deref().unwrap();
+                assert!(
+                    same(w, &reference),
+                    "{name}: lane {j} of a {outputs}-output block: {w:?} vs {reference:?}"
+                );
+                let mut alone = LinearSvm::with_config(config.clone(), seed);
+                alone.fit(x, y).unwrap();
+                assert_eq!(
+                    format!("{lane:?}"),
+                    format!("{alone:?}"),
+                    "{name}: lane {j}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn fused_steps_match_three_pass_pegasos_bitwise() {
         let (blob_x, blob_y) = blobs(60);
         let mut imbalanced = vec![0u8; 60];
         imbalanced[7] = 1;
         imbalanced[41] = 1;
-        let one = Matrix::from_rows(&[&[0.7, -1.3]]);
         let mut featureless = Matrix::with_cols(0);
         for _ in 0..5 {
             featureless.push_row(&[]);
@@ -554,7 +769,7 @@ mod tests {
             epochs: 0,
             ..LinearSvmConfig::default()
         };
-        let cases: [(&str, &Matrix, &[u8], &LinearSvmConfig); 7] = [
+        let cases: [(&str, &Matrix, &[u8], &LinearSvmConfig); 5] = [
             ("blobs", &blob_x, &blob_y, &LinearSvmConfig::default()),
             (
                 "imbalanced",
@@ -562,14 +777,12 @@ mod tests {
                 &imbalanced,
                 &LinearSvmConfig::default(),
             ),
-            ("n = 1, positive", &one, &[1], &few_epochs),
-            ("n = 1, negative", &one, &[0], &LinearSvmConfig::default()),
             ("zero features", &featureless, &[0, 1, 1, 0, 1], &few_epochs),
             ("three epochs", &blob_x, &blob_y, &few_epochs),
             ("no epochs", &blob_x, &blob_y, &no_epochs),
         ];
-        let bits = |w: &[f64]| -> Vec<u64> { w.iter().map(|v| v.to_bits()).collect() };
         for (name, x, y, config) in cases {
+            assert!(!KernelMatrix::applies(x), "{name}");
             for seed in [0, 9] {
                 let mut svm = LinearSvm::with_config(config.clone(), seed);
                 svm.fit(x, y).unwrap();
@@ -577,63 +790,123 @@ mod tests {
                 let reference = bits(&reference_pegasos(config, seed, x, y));
                 assert_eq!(fused, reference, "{name}, seed {seed}");
             }
-            // The case as the first lane of blocks of 1 to 5 outputs, beside
-            // all-negative, all-positive, imbalanced and flipped labels on
-            // the same rows. A block of `LANES` steps in lockstep; the
-            // others fit one lane at a time.
-            let n = y.len();
-            let mut sparse = vec![0u8; n];
-            sparse[n / 2] = 1;
-            let flipped: Vec<u8> = y.iter().map(|&v| 1 - v).collect();
-            let labels: [&[u8]; 5] = [y, &vec![0; n], &vec![1; n], &sparse, &flipped];
-            let seeds = [9, 0, 41, 7, 9];
-            for outputs in 1..=labels.len() {
-                let block = LinearSvm::fit_block(config, x, &labels[..outputs], &seeds[..outputs]);
-                assert_eq!(block.len(), outputs);
-                for (j, fit) in block.into_iter().enumerate() {
-                    let (y, seed) = (labels[j], seeds[j]);
-                    let (lane, margins) = fit.unwrap();
-                    // The margins handed back are a predict pass's.
-                    assert_eq!(
-                        bits(&margins),
-                        bits(&lane.decision_function(x).unwrap()),
-                        "{name}: lane {j} margins"
-                    );
-                    let reference = bits(&reference_pegasos(config, seed, x, y));
-                    assert_eq!(
-                        bits(lane.weights.as_deref().unwrap()),
-                        reference,
-                        "{name}: lane {j} of a {outputs}-output block"
-                    );
-                    // Platt scaling and every other field match a lone fit.
-                    let mut alone = LinearSvm::with_config(config.clone(), seed);
-                    alone.fit(x, y).unwrap();
-                    assert_eq!(
-                        format!("{lane:?}"),
-                        format!("{alone:?}"),
-                        "{name}: lane {j}"
-                    );
-                }
+            // A block of `LANES` steps in lockstep; the others fit one
+            // lane at a time.
+            assert_blocks_match(name, x, y, config, |w, reference| {
+                bits(w) == bits(reference)
+            });
+        }
+    }
+
+    /// Twelve rows of twenty features with two linear labels.
+    fn wide() -> (Matrix, Vec<u8>, Vec<u8>) {
+        let (mut rows, mut y, mut imbalanced) = (Vec::new(), Vec::new(), Vec::new());
+        for i in 0..12 {
+            let row: Vec<f64> = (0..20)
+                .map(|k| ((i * 20 + k) as f64 * 0.61).sin() + 0.1 * k as f64)
+                .collect();
+            y.push(u8::from(row[0] + row[3] - row[7] > 0.0));
+            imbalanced.push(u8::from(i == 5));
+            rows.push(row);
+        }
+        (Matrix::from_vec_rows(rows), y, imbalanced)
+    }
+
+    /// Weights within a relative `1e-12` of the reference's largest.
+    fn close(w: &[f64], reference: &[f64]) -> bool {
+        let scale = reference.iter().fold(1.0f64, |m, v| m.max(v.abs()));
+        w.len() == reference.len()
+            && w.iter()
+                .zip(reference)
+                .all(|(a, b)| (a - b).abs() <= 1e-12 * scale)
+    }
+
+    #[test]
+    fn kernel_form_matches_three_pass_pegasos() {
+        let (wide_x, wide_y, imbalanced) = wide();
+        let one = Matrix::from_rows(&[&[0.7, -1.3]]);
+        let few_epochs = LinearSvmConfig {
+            epochs: 3,
+            ..LinearSvmConfig::default()
+        };
+        let no_epochs = LinearSvmConfig {
+            epochs: 0,
+            ..LinearSvmConfig::default()
+        };
+        let strong = LinearSvmConfig {
+            lambda: 0.5,
+            ..LinearSvmConfig::default()
+        };
+        let cases: [(&str, &Matrix, &[u8], &LinearSvmConfig); 7] = [
+            ("wide", &wide_x, &wide_y, &LinearSvmConfig::default()),
+            (
+                "imbalanced",
+                &wide_x,
+                &imbalanced,
+                &LinearSvmConfig::default(),
+            ),
+            ("n = 1, positive", &one, &[1], &few_epochs),
+            ("n = 1, negative", &one, &[0], &LinearSvmConfig::default()),
+            ("three epochs", &wide_x, &wide_y, &few_epochs),
+            ("no epochs", &wide_x, &wide_y, &no_epochs),
+            ("strong shrink", &wide_x, &wide_y, &strong),
+        ];
+        for (name, x, y, config) in cases {
+            assert!(KernelMatrix::applies(x), "{name}");
+            for seed in [0, 9] {
+                let mut svm = LinearSvm::with_config(config.clone(), seed);
+                svm.fit(x, y).unwrap();
+                let w = svm.weights.as_deref().unwrap();
+                let reference = reference_pegasos(config, seed, x, y);
+                assert!(close(w, &reference), "{name}, seed {seed}");
+            }
+            assert_blocks_match(name, x, y, config, close);
+        }
+    }
+
+    #[test]
+    fn kernel_matrix_holds_every_row_dot_product() {
+        let (x, _, _) = wide();
+        let kernel = KernelMatrix::new(&x);
+        for i in 0..x.rows() {
+            for j in 0..x.rows() {
+                let dot = x
+                    .row(i)
+                    .iter()
+                    .zip(x.row(j))
+                    .fold(0.0, |sum, (a, b)| sum + a * b);
+                assert_eq!(kernel.row(i)[j].to_bits(), dot.to_bits(), "({i}, {j})");
             }
         }
     }
 
     #[test]
     fn a_nan_feature_diverges_every_lane() {
-        let (mut x, y) = blobs(60);
-        x.set(17, 1, f64::NAN);
-        let flipped: Vec<u8> = y.iter().map(|&v| 1 - v).collect();
-        let labels: [&[u8]; 5] = [&y, &flipped, &[0; 60], &y, &[1; 60]];
-        for outputs in 1..=labels.len() {
-            let seeds: Vec<u64> = (0..outputs as u64).collect();
-            let block =
-                LinearSvm::fit_block(&LinearSvmConfig::default(), &x, &labels[..outputs], &seeds);
-            assert!(
-                block
-                    .iter()
-                    .all(|fit| matches!(fit, Err(MlError::Diverged))),
-                "{outputs}-output block"
-            );
+        let (mut narrow, y) = blobs(60);
+        narrow.set(17, 1, f64::NAN);
+        let (mut wide_x, wide_y, _) = wide();
+        wide_x.set(7, 13, f64::NAN);
+        for (x, y) in [(&narrow, y), (&wide_x, wide_y)] {
+            let n = y.len();
+            let flipped: Vec<u8> = y.iter().map(|&v| 1 - v).collect();
+            let labels: [&[u8]; 5] = [&y, &flipped, &vec![0; n], &y, &vec![1; n]];
+            for outputs in 1..=labels.len() {
+                let seeds: Vec<u64> = (0..outputs as u64).collect();
+                let block = LinearSvm::fit_block(
+                    &LinearSvmConfig::default(),
+                    x,
+                    &labels[..outputs],
+                    &seeds,
+                    None,
+                );
+                assert!(
+                    block
+                        .iter()
+                        .all(|fit| matches!(fit, Err(MlError::Diverged))),
+                    "{} rows, {outputs}-output block",
+                    x.rows()
+                );
+            }
         }
     }
 

@@ -41,6 +41,43 @@ fn corpus(n: usize) -> (Matrix, Vec<Vec<u8>>) {
     (Matrix::from_vec_rows(rows), labels)
 }
 
+/// Twelve rows of twenty features and seven outputs: fewer rows than
+/// columns, so the SVM families run Pegasos in kernel form.
+fn wide_corpus() -> (Matrix, Vec<Vec<u8>>) {
+    let mut rows = Vec::new();
+    let mut labels: Vec<Vec<u8>> = vec![Vec::new(); 7];
+    for i in 0..12 {
+        let row: Vec<f64> = (0..20)
+            .map(|k| ((i * 20 + k) as f64 * 0.37).sin())
+            .collect();
+        for (v, y) in labels.iter_mut().enumerate() {
+            y.push(u8::from(row[v] + row[v + 7] > 0.0));
+        }
+        rows.push(row);
+    }
+    (Matrix::from_vec_rows(rows), labels)
+}
+
+/// The SVM families: on [`wide_corpus`] each prepares a kernel matrix.
+fn svm_kinds() -> Vec<ModelKind> {
+    let kinds = vec![
+        ModelKind::svm(),
+        ModelKind::hybrid_rsl(),
+        ModelKind::HybridRsl {
+            config: HybridRslConfig {
+                passthrough_features: true,
+                ..HybridRslConfig::default()
+            },
+        },
+    ];
+    let (x, _) = wide_corpus();
+    for kind in &kinds {
+        let prep = kind.prepare(&x).expect("prepare");
+        assert!(prep.kernel().is_some(), "{}: kernel form", kind.name());
+    }
+    kinds
+}
+
 struct Run {
     bytes: Vec<u8>,
     proba: Vec<Vec<u64>>,
@@ -79,14 +116,18 @@ fn encode(bank: &MultiOutputModel) -> Vec<u8> {
 
 fn assert_thread_invariant(kind: ModelKind) {
     let (x, labels) = corpus(80);
+    assert_thread_invariant_on(kind, &x, &labels);
+}
+
+fn assert_thread_invariant_on(kind: ModelKind, x: &Matrix, labels: &[Vec<u8>]) {
     let name = kind.name();
-    let reference = train(kind.clone(), &x, &labels, THREAD_COUNTS[0]);
+    let reference = train(kind.clone(), x, labels, THREAD_COUNTS[0]);
     assert!(
         !reference.events.is_empty(),
         "{name}: traced training must emit per-output events"
     );
     for threads in &THREAD_COUNTS[1..] {
-        let run = train(kind.clone(), &x, &labels, *threads);
+        let run = train(kind.clone(), x, labels, *threads);
         assert_eq!(
             reference.bytes, run.bytes,
             "{name}: serialized model must be byte-identical at {threads} threads"
@@ -124,6 +165,16 @@ fn hybrid_rsl_is_thread_invariant() {
 #[test]
 fn svm_is_thread_invariant() {
     assert_thread_invariant(ModelKind::svm());
+}
+
+/// Both SVM families on a corpus with fewer rows than columns, where every
+/// output steps over the one kernel matrix the bank prepared.
+#[test]
+fn kernel_form_svm_families_are_thread_invariant() {
+    let (x, labels) = wide_corpus();
+    for kind in svm_kinds() {
+        assert_thread_invariant_on(kind, &x, &labels);
+    }
 }
 
 /// Random forest alone: many trees per output, per-tree seeds derived from
@@ -207,7 +258,15 @@ fn every_kind() -> Vec<ModelKind> {
 fn bank_predicts_what_each_output_fitted_alone_predicts() {
     let (x, labels) = corpus(80);
     let (probe, _) = corpus(23);
-    assert_bank_matches_lone_fits(&x, &labels, &probe);
+    assert_bank_matches_lone_fits(every_kind(), &x, &labels, &probe);
+}
+
+/// The same for the SVM families in kernel form, on a corpus with fewer
+/// rows than columns.
+#[test]
+fn kernel_form_bank_predicts_what_each_output_fitted_alone_predicts() {
+    let (x, labels) = wide_corpus();
+    assert_bank_matches_lone_fits(svm_kinds(), &x, &labels, &x);
 }
 
 /// The same on rows without features, where every tree is one leaf and
@@ -221,13 +280,18 @@ fn bank_predicts_like_lone_fits_on_rows_without_features() {
     }
     let mut probe = Matrix::with_cols(0);
     probe.push_row(&[]);
-    assert_bank_matches_lone_fits(&x, &labels, &probe);
+    assert_bank_matches_lone_fits(every_kind(), &x, &labels, &probe);
 }
 
-fn assert_bank_matches_lone_fits(x: &Matrix, labels: &[Vec<u8>], probe: &Matrix) {
+fn assert_bank_matches_lone_fits(
+    kinds: Vec<ModelKind>,
+    x: &Matrix,
+    labels: &[Vec<u8>],
+    probe: &Matrix,
+) {
     const SEED: u64 = 42;
     let bits = |p: &[f64]| -> Vec<u64> { p.iter().map(|v| v.to_bits()).collect() };
-    for kind in every_kind() {
+    for kind in kinds {
         let name = kind.name();
         let prep = kind.prepare(x).expect("prepare");
         let alone: Vec<Box<dyn Classifier>> = labels
