@@ -234,14 +234,17 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 character (the input is a &str, so the
-                // bytes are valid UTF-8 by construction).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let Some(c) = rest.chars().next() else {
-                    return Err("unterminated string".into());
-                };
-                out.push(c);
-                *pos += c.len_utf8();
+                // The run of characters up to the next quote or backslash,
+                // in one step. Both are ASCII, so the run ends on a
+                // character boundary, and the input is a &str, so the run
+                // is valid UTF-8; checking it costs its own length only.
+                let rest = &bytes[*pos..];
+                let len = rest
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .unwrap_or(rest.len());
+                out.push_str(std::str::from_utf8(&rest[..len]).map_err(|e| e.to_string())?);
+                *pos += len;
             }
         }
     }
@@ -285,6 +288,23 @@ mod tests {
     fn parses_strings_with_escapes() {
         let json = Json::parse(r#""a\"b\\c\nd""#).unwrap();
         assert_eq!(json.as_str(), Some("a\"b\\c\nd"));
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // Over 4 MiB of one-, two-, three- and four-byte characters, two
+        // escapes after every 1,200: a parse that rescans the rest of the
+        // body per character takes minutes on this.
+        let piece = "plain é € 𝄞 ".repeat(100);
+        let original = format!("{piece}\n\"").repeat(2400);
+        let doc = escape(&original);
+        assert!(doc.len() > 4 << 20);
+        let start = std::time::Instant::now();
+        let parsed = Json::parse(&doc).unwrap();
+        let elapsed = start.elapsed();
+        assert_eq!(parsed.as_str(), Some(original.as_str()));
+        assert!(elapsed.as_secs_f64() < 1.0, "{elapsed:?}");
+        assert!(Json::parse(&doc[..doc.len() - 1]).is_err());
     }
 
     #[test]
