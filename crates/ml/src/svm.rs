@@ -263,6 +263,24 @@ impl<'a> Lane<'a> {
             pos_weight,
         })
     }
+
+    /// The hinge step of a visit to sample `i` at `margin` with step size
+    /// `eta`: `η·yᵢ·weight` when the sample violates its margin
+    /// (`margin·yᵢ < 1`), else none.
+    fn hinge_step(&self, i: usize, margin: f64, eta: f64) -> Option<f64> {
+        let positive = self.y[i] == 1;
+        let yi = if positive { 1.0 } else { -1.0 };
+        let sw = if positive { self.pos_weight } else { 1.0 };
+        (margin * yi < 1.0).then_some(eta * yi * sw)
+    }
+}
+
+/// A Fisher–Yates shuffle of `order`, one per epoch; a lane's RNG feeds
+/// nothing else.
+fn shuffle(order: &mut [usize], rng: &mut StdRng) {
+    for i in (1..order.len()).rev() {
+        order.swap(i, rng.random_range(0..=i));
+    }
 }
 
 /// The kernel matrix `K = XXᵀ` of a corpus with fewer rows than columns:
@@ -364,16 +382,13 @@ fn pegasos<const L: usize>(
     let t0 = 1.0 / lambda;
     let mut rngs = lanes.map(|lane| StdRng::seed_from_u64(lane.seed));
     let mut orders: [Vec<usize>; L] = std::array::from_fn(|_| (0..n).collect());
-    // Fisher–Yates shuffle per epoch; a lane's RNG feeds nothing else.
-    let shuffle = |orders: &mut [Vec<usize>; L], rngs: &mut [StdRng; L]| {
+    let shuffle_lanes = |orders: &mut [Vec<usize>; L], rngs: &mut [StdRng; L]| {
         for (order, rng) in orders.iter_mut().zip(rngs.iter_mut()) {
-            for i in (1..order.len()).rev() {
-                order.swap(i, rng.random_range(0..=i));
-            }
+            shuffle(order, rng);
         }
     };
     if epochs > 0 {
-        shuffle(&mut orders, &mut rngs);
+        shuffle_lanes(&mut orders, &mut rngs);
     }
     let mut w = vec![0.0f64; m * L];
     let mut bias = [0.0f64; L];
@@ -395,7 +410,7 @@ fn pegasos<const L: usize>(
                 pos + 1
             } else {
                 if epoch + 1 < epochs {
-                    shuffle(&mut orders, &mut rngs);
+                    shuffle_lanes(&mut orders, &mut rngs);
                 }
                 0
             };
@@ -406,13 +421,9 @@ fn pegasos<const L: usize>(
             let mut hit = [false; L];
             let mut step = [1.0f64; L];
             for j in 0..L {
-                let positive = lanes[j].y[at[j]] == 1;
-                let yi = if positive { 1.0 } else { -1.0 };
-                let sw = if positive { lanes[j].pos_weight } else { 1.0 };
-                hit[j] = margin[j] * yi < 1.0;
-                if hit[j] {
-                    step[j] = eta * yi * sw;
-                    bias[j] += step[j];
+                if let Some(lane_step) = lanes[j].hinge_step(at[j], margin[j], eta) {
+                    (hit[j], step[j]) = (true, lane_step);
+                    bias[j] += lane_step;
                 }
             }
             let (weights, _) = w.as_chunks_mut::<L>();
@@ -514,19 +525,13 @@ fn pegasos_kernel(
     let (mut scale, mut bias) = (1.0f64, 0.0f64);
     let mut t = 0u64;
     for _ in 0..epochs {
-        for i in (1..n).rev() {
-            order.swap(i, rng.random_range(0..=i));
-        }
+        shuffle(&mut order, &mut rng);
         for &i in &order {
             t += 1;
             let eta = 1.0 / (lambda * (t as f64 + t0));
             let margin = bias + scale * u[i];
             scale *= 1.0 - eta * lambda;
-            let positive = lane.y[i] == 1;
-            let yi = if positive { 1.0 } else { -1.0 };
-            let sw = if positive { lane.pos_weight } else { 1.0 };
-            if margin * yi < 1.0 {
-                let step = eta * yi * sw;
+            if let Some(step) = lane.hinge_step(i, margin, eta) {
                 bias += step;
                 let coef = step / scale;
                 alpha[i] += coef;
@@ -536,7 +541,6 @@ fn pegasos_kernel(
             }
         }
     }
-    // Every row, so that a non-finite feature reaches the weights.
     let mut w = vec![0.0f64; x.cols() + 1];
     for (i, &a) in alpha.iter().enumerate() {
         let coef = scale * a;
@@ -761,6 +765,7 @@ mod tests {
         for _ in 0..5 {
             featureless.push_row(&[]);
         }
+        let square = Matrix::from_rows(&[&[0.7, -1.3], &[-0.2, 0.4]]);
         let few_epochs = LinearSvmConfig {
             epochs: 3,
             ..LinearSvmConfig::default()
@@ -769,7 +774,7 @@ mod tests {
             epochs: 0,
             ..LinearSvmConfig::default()
         };
-        let cases: [(&str, &Matrix, &[u8], &LinearSvmConfig); 5] = [
+        let cases: [(&str, &Matrix, &[u8], &LinearSvmConfig); 6] = [
             ("blobs", &blob_x, &blob_y, &LinearSvmConfig::default()),
             (
                 "imbalanced",
@@ -777,6 +782,7 @@ mod tests {
                 &imbalanced,
                 &LinearSvmConfig::default(),
             ),
+            ("as many rows as columns", &square, &[1, 0], &few_epochs),
             ("zero features", &featureless, &[0, 1, 1, 0, 1], &few_epochs),
             ("three epochs", &blob_x, &blob_y, &few_epochs),
             ("no epochs", &blob_x, &blob_y, &no_epochs),
