@@ -199,7 +199,7 @@ impl MultiOutputModel {
             },
         );
         // One observation per output: each output of a block takes an equal
-        // share of the block's time, since its lanes stepped together.
+        // share of the block's time, since the block is timed as a whole.
         let durs: Vec<f64> = fitted
             .iter()
             .filter_map(|(fits, secs)| secs.map(|secs| (fits.len(), secs)))
