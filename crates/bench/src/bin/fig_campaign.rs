@@ -141,11 +141,19 @@ fn run_sweep(tenants: &[Tenant], intensities: &[f64], slots: u64) -> SweepOutcom
                     threads: 8,
                     ..RenderOptions::default()
                 };
-                let rendered = render(&tenant.net, &tenant.sensors, &compiled, &opts, hub.ctx())
-                    .expect("render");
-
-                // Score through an in-process hosted session.
+                // Read with the measurement noise the profile was trained
+                // under, then score through an in-process hosted session.
                 let artifact = ProfileArtifact::from_bytes(&tenant.artifact).expect("decode");
+                let noise = artifact.features.noise;
+                let rendered = render(
+                    &tenant.net,
+                    &tenant.sensors,
+                    &noise,
+                    &compiled,
+                    &opts,
+                    hub.ctx(),
+                )
+                .expect("render");
                 let mut session =
                     HostedSession::from_artifact(tenant.net.clone(), artifact, 0).expect("session");
                 for (&t, row) in rendered.times.iter().zip(&rendered.readings) {

@@ -75,6 +75,7 @@ impl<'a> HazardContext<'a> {
 
     pub(crate) fn finish(self) -> CompiledCampaign {
         CompiledCampaign {
+            seed: self.plan_seed,
             slots: self.slots,
             slot_seconds: self.slot_seconds,
             leaks: self.leaks,

@@ -8,10 +8,11 @@
 //! intrusion, a flood cascade from a main break, and adversarial sensor
 //! spoofing — and compiles it onto one EPS timeline
 //! ([`CompiledCampaign`]). [`render`] lowers that timeline through the
-//! hydraulic solver into a per-slot sensor trace (plus flood and
-//! water-quality impact side-channels), and [`replay_hosted`] streams
-//! the trace through a live `aqua-serve` session so Phase-II detection,
-//! quarantine and hot-swap are exercised end-to-end.
+//! hydraulic solver and the sensing crate's measurement step into a
+//! per-slot sensor trace, read with the tenant's measurement noise (plus
+//! flood and water-quality impact side-channels), and [`replay_hosted`]
+//! streams the trace through a live `aqua-serve` session so Phase-II
+//! detection, quarantine and hot-swap are exercised end-to-end.
 //!
 //! Everything is deterministic by construction: hazard schedules are
 //! pure splitmix64 hashes of `(seed, stream, step)`, the parallel

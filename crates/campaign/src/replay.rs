@@ -38,10 +38,10 @@ fn replay_err(context: &str, detail: impl std::fmt::Display) -> CampaignError {
 /// Replays a rendered campaign through a freshly started `aqua-serve`
 /// instance and an in-process [`HostedSession`] lockstep reference.
 ///
-/// Both consumers see exactly the rendered readings (faults included),
-/// so their detection streams must match; `dropped` counts reference
-/// detections the served side missed. Emits the `campaign.replay` span
-/// and the `campaign.replay.batches` counter.
+/// Both consumers see exactly the rendered readings (noise and faults
+/// included), so their detection streams must match; `dropped` counts
+/// reference detections the served side missed. Emits the
+/// `campaign.replay` span and the `campaign.replay.batches` counter.
 ///
 /// # Errors
 ///

@@ -6,8 +6,9 @@
 //! coordinates. [`render`] turns that schedule into per-slot sensor
 //! readings by running the EPS hydraulic solver (in parallel across
 //! worker threads, with results keyed by slot index so the output is
-//! byte-identical for any thread count), then applying the fault model,
-//! the water-quality trace, and the flood cascade sequentially.
+//! byte-identical for any thread count), then making the readings with
+//! the measurement step (the tenant's noise, then the fault model), the
+//! water-quality trace, and the flood cascade sequentially.
 
 use aqua_flood::{leak_sources_from_snapshot, Dem, FloodResult, FloodSim};
 use aqua_hydraulics::{
@@ -16,8 +17,10 @@ use aqua_hydraulics::{
 };
 use aqua_ml::work::par_map_indexed;
 use aqua_net::{LinkId, LinkStatus, Network, NodeId};
-use aqua_sensing::{FaultInjector, FaultKind, FaultModel, SensorSet};
+use aqua_sensing::{measure, FaultInjector, FaultModel, MeasurementNoise, SensorSet};
 use aqua_telemetry::TelemetryCtx;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 use crate::error::CampaignError;
 
@@ -74,6 +77,9 @@ pub struct HazardEvent {
 /// The concrete schedule a [`crate::CampaignPlan`] compiles to.
 #[derive(Debug, Clone)]
 pub struct CompiledCampaign {
+    /// The plan's master seed; [`render`] seeds its measurement noise
+    /// from it.
+    pub seed: u64,
     /// Number of EPS slots.
     pub slots: u64,
     /// Seconds per slot.
@@ -168,11 +174,12 @@ impl Default for RenderOptions {
 pub struct RenderedCampaign {
     /// EPS time of each slot.
     pub times: Vec<u64>,
-    /// Fault-free readings per slot, in channel order (pressures then
-    /// flows).
+    /// The true value under every sensor per slot, before noise and
+    /// faults, in channel order (pressures then flows).
     pub truth: Vec<Vec<f64>>,
-    /// Delivered readings per slot after the fault model (`None` =
-    /// dropped).
+    /// Delivered readings per slot, as the measurement step makes them:
+    /// the tenant's noise, then the fault model (`None` = dropped). This
+    /// is what a session is fed.
     pub readings: Vec<Vec<Option<f64>>>,
     /// Ground-truth leaking nodes per slot.
     pub true_leaks: Vec<Vec<NodeId>>,
@@ -240,9 +247,12 @@ fn solve_all(
 /// Renders a compiled campaign into a sensor trace plus impact
 /// side-channels.
 ///
-/// The hydraulic sweep fans out over `opts.threads`; the fault,
-/// water-quality, and flood passes are sequential (they are stateful in
-/// slot order). Emits the `campaign.render` span, `campaign.slots`,
+/// `noise` is the tenant's measurement noise, the one its profile was
+/// trained under (`ProfileArtifact::features`); the readings draw it from
+/// an RNG seeded with the plan's seed. The hydraulic sweep fans out over
+/// `opts.threads`; the measurement, water-quality, and flood passes are
+/// sequential (they are stateful in slot order). Emits the
+/// `campaign.render` span, `campaign.slots`,
 /// `campaign.render.fallbacks`, and `campaign.spoofed.readings`
 /// counters, and the `campaign.flood.max_depth_m` /
 /// `campaign.quality.peak_mg_l` gauges.
@@ -254,6 +264,7 @@ fn solve_all(
 pub fn render(
     net: &Network,
     sensors: &SensorSet,
+    noise: &MeasurementNoise,
     compiled: &CompiledCampaign,
     opts: &RenderOptions,
     tel: TelemetryCtx<'_>,
@@ -267,26 +278,27 @@ pub fn render(
     let times: Vec<u64> = (0..compiled.slots).map(|s| compiled.time_of(s)).collect();
     let truth: Vec<Vec<f64>> = solved.iter().map(|(snap, _)| sensors.read(snap)).collect();
 
-    // Fault pass: stateful per-channel injector walked in slot order, so
-    // stuck-at faults latch exactly as they do in a live deployment.
-    let mut injector = FaultInjector::new(compiled.faults);
+    // Measurement pass: every slot in one call, so each channel's noise is
+    // drawn in slot order and stuck-at faults latch on the channel's first
+    // reading, as they do in a live deployment.
+    let slots: Vec<(u64, &Snapshot)> = (0..).zip(solved.iter().map(|(snap, _)| snap)).collect();
+    let readings = measure(
+        sensors,
+        &slots,
+        noise,
+        &mut StdRng::seed_from_u64(compiled.seed),
+        &mut FaultInjector::new(compiled.faults),
+    );
+    // A spoofed reading is one a compromised channel delivers once the
+    // attack is on; only a dropout hides it.
     let mut spoofed_readings = 0u64;
-    let readings: Vec<Vec<Option<f64>>> = truth
-        .iter()
-        .enumerate()
-        .map(|(slot, row)| {
-            row.iter()
-                .enumerate()
-                .map(|(channel, &value)| {
-                    let reading = injector.read(channel, slot as u64, value);
-                    if reading.fault == Some(FaultKind::Malicious) {
-                        spoofed_readings += 1;
-                    }
-                    reading.value
-                })
-                .collect()
-        })
-        .collect();
+    for (slot, row) in readings.iter().enumerate() {
+        for (channel, reading) in row.iter().enumerate() {
+            if reading.is_some() && compiled.faults.is_malicious(channel, slot as u64) {
+                spoofed_readings += 1;
+            }
+        }
+    }
 
     let true_leaks: Vec<Vec<NodeId>> = (0..compiled.slots)
         .map(|s| compiled.true_leak_nodes_at(s))
@@ -355,6 +367,7 @@ mod tests {
         // worker can meet a failing slot above the lowest one first.
         let net = aqua_net::synth::epa_net();
         let compiled = CompiledCampaign {
+            seed: 0,
             slots: 16,
             slot_seconds: 900,
             leaks: Vec::new(),
@@ -377,6 +390,7 @@ mod tests {
             "slot 0 must solve for the check to mean anything"
         );
         let sensors = SensorSet::full(&net);
+        let noise = MeasurementNoise::default();
         let names_lowest = format!("slot {lowest} ");
         for threads in [1, 2, 8] {
             let opts = RenderOptions {
@@ -384,8 +398,15 @@ mod tests {
                 solver: solver.clone(),
                 ..RenderOptions::default()
             };
-            let err = render(&net, &sensors, &compiled, &opts, TelemetryCtx::none())
-                .expect_err("a slot fails on every rung");
+            let err = render(
+                &net,
+                &sensors,
+                &noise,
+                &compiled,
+                &opts,
+                TelemetryCtx::none(),
+            )
+            .expect_err("a slot fails on every rung");
             assert!(
                 matches!(&err, CampaignError::Hydraulic(m) if m.starts_with(&names_lowest)),
                 "threads={threads}: {err:?}"

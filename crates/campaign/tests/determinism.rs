@@ -80,11 +80,20 @@ fn render_bits(net: &Network, threads: usize) -> (Vec<u64>, Vec<u64>, u64, u64) 
         .expect("compile");
     let probe = AquaScale::new(net, small_config());
     let sensors = probe.sensors();
+    let noise = probe.config().features.noise;
     let opts = RenderOptions {
         threads,
         ..RenderOptions::default()
     };
-    let rendered = render(net, &sensors, &compiled, &opts, TelemetryCtx::none()).expect("render");
+    let rendered = render(
+        net,
+        &sensors,
+        &noise,
+        &compiled,
+        &opts,
+        TelemetryCtx::none(),
+    )
+    .expect("render");
     let truth_bits = rendered
         .truth
         .iter()
@@ -120,6 +129,7 @@ fn telemetry_event_stream_is_byte_identical_across_runs() {
     let net = synth::epa_net();
     let probe = AquaScale::new(&net, small_config());
     let sensors = probe.sensors();
+    let noise = probe.config().features.noise;
     let jsonl = || {
         let hub = TelemetryHub::new();
         let compiled = mixed_plan(SEED).compile(&net, hub.ctx()).expect("compile");
@@ -127,7 +137,7 @@ fn telemetry_event_stream_is_byte_identical_across_runs() {
             threads: 4,
             ..RenderOptions::default()
         };
-        render(&net, &sensors, &compiled, &opts, hub.ctx()).expect("render");
+        render(&net, &sensors, &noise, &compiled, &opts, hub.ctx()).expect("render");
         let mut out = Vec::new();
         hub.write_events_jsonl(&mut out).expect("flush");
         out
@@ -147,12 +157,14 @@ fn hosted_replay_matches_lockstep_reference_and_repeats() {
     let profile = aqua.train_profile().expect("phase I");
     let artifact = ProfileArtifact::capture(&aqua, profile).to_bytes();
     let sensors = aqua.sensors();
+    let noise = aqua.config().features.noise;
     let compiled = mixed_plan(SEED)
         .compile(&net, TelemetryCtx::none())
         .expect("compile");
     let rendered = render(
         &net,
         &sensors,
+        &noise,
         &compiled,
         &RenderOptions::default(),
         TelemetryCtx::none(),

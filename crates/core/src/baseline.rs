@@ -174,7 +174,7 @@ pub fn full_enumeration_count(n: usize, m: usize, g: usize) -> f64 {
 mod tests {
     use super::*;
     use aqua_net::synth;
-    use aqua_sensing::{extract_features, FeatureConfig, MeasurementNoise};
+    use aqua_sensing::{feature_row, measure, FaultInjector, FeatureConfig, MeasurementNoise};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -188,7 +188,14 @@ mod tests {
             ..Default::default()
         };
         let mut rng = StdRng::seed_from_u64(0);
-        extract_features(net, sensors, &base, &after, &cfg, &mut rng)
+        let readings = measure(
+            sensors,
+            &[(0, &base), (0, &after)],
+            &cfg.noise,
+            &mut rng,
+            &mut FaultInjector::new(cfg.faults),
+        );
+        feature_row(net, &cfg, &readings[0], &readings[1], |_| false)
     }
 
     #[test]

@@ -14,10 +14,12 @@
 //! imputed by carrying the last observation forward, implausible and stuck
 //! channels are quarantined at the [`health`](crate::health) thresholds,
 //! and inference keeps running on whatever channels survive — a dead
-//! sensor degrades accuracy, it does not stop detection. Faults are
-//! applied where readings are made (the campaign render and the corpus
-//! build each run an `aqua_sensing::FaultInjector`), never inside the
-//! session.
+//! sensor degrades accuracy, it does not stop detection. Readings are
+//! made outside the session, by `aqua_sensing::measure` (noise, then
+//! faults), in the corpus build, the campaign render and the examples
+//! alike; the session turns consecutive readings into a feature row with
+//! `aqua_sensing::feature_row`, the function the corpus build uses, so
+//! Phase II infers on the rows Phase I trained on.
 //!
 //! The state is owned and deployment-independent: the trained deployment
 //! (`AquaScale` + `ProfileModel`) is passed into each call. The serving
@@ -28,6 +30,7 @@ use std::time::Duration;
 
 use aqua_artifact::{ArtifactError, Codec, Reader, Writer};
 use aqua_net::NodeId;
+use aqua_sensing::{feature_row, SensorSet};
 
 use crate::error::AquaError;
 use crate::health::{SensorHealth, FLOW_BOUNDS, PRESSURE_BOUNDS};
@@ -155,9 +158,41 @@ impl SessionState {
                 ),
             });
         }
+        let Some(features) = self.next_row(aqua, &profile.sensors, readings) else {
+            return Ok(None);
+        };
+
+        let inference = aqua.infer(profile, &features, external)?;
+        if !inference.leak_nodes.is_empty() {
+            let tel = aqua.telemetry();
+            if tel.enabled() {
+                tel.add("core.monitor.detections", 1);
+                tel.observe(
+                    "core.monitor.detection_latency_s",
+                    inference.latency.as_secs_f64(),
+                );
+            }
+            self.detections.push(Detection {
+                time,
+                leak_nodes: inference.leak_nodes.clone(),
+                latency: inference.latency,
+                quarantined: self.quarantined_channels(),
+            });
+        }
+        Ok(Some(inference))
+    }
+
+    /// Folds one slot of `readings` into the channel health and returns the
+    /// feature row against the previous slot, or `None` on the first slot.
+    fn next_row(
+        &mut self,
+        aqua: &AquaScale<'_>,
+        sensors: &SensorSet,
+        readings: &[Option<f64>],
+    ) -> Option<Vec<f64>> {
         let tel = aqua.telemetry();
         let config = aqua.config().features;
-        let n_pressure = profile.sensors.pressure_nodes.len();
+        let n_pressure = sensors.pressure_nodes.len();
         self.slot += 1;
         let quarantined_before = tel
             .enabled()
@@ -176,20 +211,9 @@ impl SessionState {
         }
 
         let features = self.prev_used.as_ref().map(|prev| {
-            let mut features = Vec::with_capacity(used.len());
-            for (ch, (p, c)) in prev.iter().zip(&used).enumerate() {
-                let delta = match (p, c) {
-                    (Some(p), Some(c)) if !self.health[ch].is_quarantined() => c - p,
-                    // Missing history or a quarantined channel: impute "no
-                    // observed change" rather than feeding garbage in.
-                    _ => 0.0,
-                };
-                features.push(delta);
-            }
-            if config.include_topology {
-                features.extend(aqua.network().topology_features());
-            }
-            features
+            feature_row(aqua.network(), &config, prev, &used, |ch| {
+                self.health[ch].is_quarantined()
+            })
         });
         self.prev_used = Some(used);
         if let Some(before) = quarantined_before {
@@ -202,27 +226,7 @@ impl SessionState {
                 (after - before) as u64,
             );
         }
-        let Some(features) = features else {
-            return Ok(None);
-        };
-
-        let inference = aqua.infer(profile, &features, external)?;
-        if !inference.leak_nodes.is_empty() {
-            if tel.enabled() {
-                tel.add("core.monitor.detections", 1);
-                tel.observe(
-                    "core.monitor.detection_latency_s",
-                    inference.latency.as_secs_f64(),
-                );
-            }
-            self.detections.push(Detection {
-                time,
-                leak_nodes: inference.leak_nodes.clone(),
-                latency: inference.latency,
-                quarantined: self.quarantined_channels(),
-            });
-        }
-        Ok(Some(inference))
+        features
     }
 }
 
@@ -253,7 +257,9 @@ mod tests {
     use aqua_hydraulics::{solve_snapshot, LeakEvent, Scenario, SolverOptions};
     use aqua_ml::ModelKind;
     use aqua_net::synth;
-    use aqua_sensing::{FaultInjector, FaultModel, FeatureConfig, MeasurementNoise};
+    use aqua_sensing::{
+        measure, DatasetBuilder, FaultInjector, FaultModel, FeatureConfig, MeasurementNoise,
+    };
     use aqua_telemetry::sync::OnceLock;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -286,12 +292,12 @@ mod tests {
     }
 
     /// A field deployment's side of a drill: streams slots `0..=slots` of
-    /// `scenario` at 15-minute steps into `state`. Each channel is read off
-    /// the solved snapshot, given the configured measurement noise, and
-    /// passed through a [`FaultInjector`] for `faults` at the slot number
-    /// the session counts, as the campaign render does; the `dead` channel
-    /// is `None` on every slot. Returns the first slot whose inference
-    /// names a true leak node, if any.
+    /// `scenario` at 15-minute steps into `state`. Each slot's readings
+    /// come from the measurement step, with the configured noise and a
+    /// [`FaultInjector`] for `faults` at the slot number, as the campaign
+    /// render makes them; the `dead` channel is `None` on every slot.
+    /// Returns the first slot whose inference names a true leak node, if
+    /// any.
     fn stream(
         aqua: &AquaScale<'_>,
         profile: &ProfileModel,
@@ -302,7 +308,6 @@ mod tests {
         dead: Option<usize>,
     ) -> Option<u64> {
         let noise = aqua.config().features.noise;
-        let n_pressure = profile.sensors.pressure_nodes.len();
         let mut rng = StdRng::seed_from_u64(5);
         let mut injector = FaultInjector::new(faults);
         let mut first_hit = None;
@@ -310,23 +315,17 @@ mod tests {
             let t = slot * 900;
             let snap =
                 solve_snapshot(aqua.network(), scenario, t, &SolverOptions::default()).unwrap();
-            let readings: Vec<Option<f64>> = profile
-                .sensors
-                .read(&snap)
-                .into_iter()
-                .enumerate()
-                .map(|(ch, truth)| {
-                    let measured = if ch < n_pressure {
-                        noise.pressure(truth, &mut rng)
-                    } else {
-                        noise.flow(truth, &mut rng)
-                    };
-                    match dead {
-                        Some(d) if d == ch => None,
-                        _ => injector.read(ch, slot, measured).value,
-                    }
-                })
-                .collect();
+            let mut readings = measure(
+                &profile.sensors,
+                &[(slot, &snap)],
+                &noise,
+                &mut rng,
+                &mut injector,
+            )
+            .remove(0);
+            if let Some(d) = dead {
+                readings[d] = None;
+            }
             let inference = state
                 .observe_readings(aqua, profile, t, &readings, &ExternalObservations::none())
                 .unwrap();
@@ -615,5 +614,51 @@ mod tests {
         let hit = stream(&aqua, profile, &mut session, &scenario, 16, faults, None);
         assert!(hit.is_none() || hit.unwrap() >= 8);
         assert_eq!(session.slots_observed(), 17);
+    }
+
+    #[test]
+    fn session_row_equals_the_corpus_row() {
+        // The two readings a corpus row is made from, fed to a session,
+        // give that row bit for bit: with default noise, and with channels
+        // that drop and freeze.
+        let net = synth::epa_net();
+        let drop_and_freeze = FaultModel {
+            dropout_rate: 0.2,
+            stuck_rate: 0.2,
+            seed: 8,
+            ..FaultModel::none()
+        };
+        for faults in [FaultModel::none(), drop_and_freeze] {
+            let features = FeatureConfig {
+                faults,
+                ..Default::default()
+            };
+            let aqua = AquaScale::new(
+                &net,
+                AquaScaleConfig {
+                    features,
+                    ..Default::default()
+                },
+            );
+            let sensors = aqua.sensors();
+            let builder = DatasetBuilder::new(&net, sensors.clone()).feature_config(features);
+            let (samples, seed) = (6, 3);
+            let corpus = builder.build(samples, seed, 1).unwrap();
+            assert_eq!(
+                corpus.summary.imputed_readings > 0,
+                faults.enabled(),
+                "dropout must hit some channel"
+            );
+            for i in 0..samples {
+                let readings = builder.sample_readings(i, seed).unwrap();
+                let mut session = SessionState::new(sensors.len());
+                assert!(session.next_row(&aqua, &sensors, &readings[0]).is_none());
+                let row = session
+                    .next_row(&aqua, &sensors, &readings[1])
+                    .expect("a row from the second slot");
+                let bits = |row: &[f64]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&row), bits(corpus.x.row(i)), "sample {i}, {faults:?}");
+            }
+        }
     }
 }

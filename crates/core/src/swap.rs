@@ -17,6 +17,7 @@
 //! snapshot serving, untouched.
 
 use aqua_net::Network;
+use aqua_sensing::feature_row;
 use aqua_telemetry::sync::Arc;
 
 use crate::artifact::ProfileArtifact;
@@ -146,10 +147,8 @@ fn canary_predict(
     config: &AquaScaleConfig,
     profile: &ProfileModel,
 ) -> Result<(), AquaError> {
-    let mut features = vec![0.0; profile.sensors.len()];
-    if config.features.include_topology {
-        features.extend(net.topology_features());
-    }
+    let blank = vec![None; profile.sensors.len()];
+    let features = feature_row(net, &config.features, &blank, &blank, |_| false);
     let aqua = AquaScale::new(net, config.clone());
     let inference = aqua.infer(profile, &features, &ExternalObservations::none())?;
     if inference.p1.iter().any(|p| !p.is_finite()) {

@@ -23,9 +23,10 @@
 //!   bounds, so sticky quarantine isolates every compromised channel
 //!   within `MAX_IMPLAUSIBLE` observation windows).
 //!
-//! Faulty readings surface as [`Reading`] — an `Option<f64>` plus the
-//! [`FaultKind`] that produced it — so downstream consumers can impute or
-//! quarantine instead of silently training on garbage.
+//! A faulty reading surfaces as an `Option<f64>`: `None` for a dropped
+//! reading, otherwise the delivered value, biased or frozen as its fault
+//! dictates. Downstream consumers impute missing readings and quarantine
+//! implausible or frozen channels instead of silently training on garbage.
 //!
 //! # Determinism
 //!
@@ -43,56 +44,6 @@ use std::collections::BTreeMap;
 
 use aqua_artifact::{ArtifactError, Codec, Reader, Writer};
 use aqua_telemetry::hash::splitmix64;
-
-/// The fault mode that affected a reading.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[non_exhaustive]
-pub enum FaultKind {
-    /// The reading is missing.
-    Dropout,
-    /// The channel repeats a frozen value.
-    StuckAt,
-    /// The reading carries a slowly growing bias.
-    Drift,
-    /// The reading carries a single large transient excursion.
-    Spike,
-    /// The channel is compromised: an adversary reports the truth plus a
-    /// campaign-wide coordinated bias.
-    Malicious,
-}
-
-/// One sensor reading after fault injection: the (possibly absent) value
-/// plus the fault that produced it.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Reading {
-    /// The delivered value; `None` for a dropped reading.
-    pub value: Option<f64>,
-    /// The fault affecting this reading, if any.
-    pub fault: Option<FaultKind>,
-}
-
-impl Reading {
-    /// A clean (fault-free) reading.
-    pub fn clean(value: f64) -> Self {
-        Reading {
-            value: Some(value),
-            fault: None,
-        }
-    }
-
-    /// A missing reading.
-    pub fn missing() -> Self {
-        Reading {
-            value: None,
-            fault: Some(FaultKind::Dropout),
-        }
-    }
-
-    /// `true` when the reading arrived unaffected by any fault.
-    pub fn is_clean(&self) -> bool {
-        self.fault.is_none()
-    }
-}
 
 /// Seed-reproducible per-sensor fault configuration.
 ///
@@ -306,50 +257,35 @@ impl FaultInjector {
     }
 
     /// Produces the delivered reading for the true value `truth` on
-    /// `channel` at sampling `slot`.
+    /// `channel` at sampling `slot`: `None` when it is dropped.
     ///
     /// Fault precedence, highest first: dropout ▸ malicious ▸ stuck-at ▸
     /// spike ▸ drift. A stuck channel freezes at the first value this
     /// injector reads on it. A compromised transmitter reports the
     /// attacker's value regardless of its hardware regime — only radio
     /// loss (dropout) still hides it.
-    pub fn read(&mut self, channel: usize, slot: u64, truth: f64) -> Reading {
+    pub fn read(&mut self, channel: usize, slot: u64, truth: f64) -> Option<f64> {
         if !self.model.enabled() {
-            return Reading::clean(truth);
+            return Some(truth);
         }
         if self.model.is_dropout(channel, slot) {
-            return Reading::missing();
+            return None;
         }
         if self.model.is_malicious(channel, slot) {
-            return Reading {
-                value: Some(truth + self.model.malicious_sign() * self.model.malicious_bias),
-                fault: Some(FaultKind::Malicious),
-            };
+            return Some(truth + self.model.malicious_sign() * self.model.malicious_bias);
         }
         if self.model.is_stuck_channel(channel) {
-            let frozen = *self.stuck_values.entry(channel).or_insert(truth);
-            return Reading {
-                value: Some(frozen),
-                fault: Some(FaultKind::StuckAt),
-            };
+            return Some(*self.stuck_values.entry(channel).or_insert(truth));
         }
         if self.model.is_spike(channel, slot) {
-            return Reading {
-                value: Some(
-                    truth + self.model.spike_sign(channel, slot) * self.model.spike_magnitude,
-                ),
-                fault: Some(FaultKind::Spike),
-            };
+            return Some(truth + self.model.spike_sign(channel, slot) * self.model.spike_magnitude);
         }
         if self.model.is_drift_channel(channel) {
             let bias =
                 self.model.drift_direction(channel) * self.model.drift_per_slot * slot as f64;
-            return Reading {
-                value: Some(truth + bias),
-                fault: Some(FaultKind::Drift),
-            };
+            return Some(truth + bias);
         }
-        Reading::clean(truth)
+        Some(truth)
     }
 }
 
@@ -375,8 +311,7 @@ mod tests {
         let mut inj = FaultInjector::new(FaultModel::none());
         for slot in 0..50 {
             for ch in 0..20 {
-                let r = inj.read(ch, slot, 1.5);
-                assert_eq!(r, Reading::clean(1.5));
+                assert_eq!(inj.read(ch, slot, 1.5), Some(1.5));
             }
         }
     }
@@ -393,7 +328,7 @@ mod tests {
         let mut missing = 0;
         for slot in 0..(n / 100) {
             for ch in 0..100 {
-                if inj.read(ch, slot, 0.0).value.is_none() {
+                if inj.read(ch, slot, 0.0).is_none() {
                     missing += 1;
                 }
             }
@@ -413,9 +348,9 @@ mod tests {
         };
         let mut forward = FaultInjector::new(model);
         let mut backward = FaultInjector::new(model);
-        let fwd: Vec<Reading> = (0..200).map(|ch| forward.read(ch, 3, 9.0)).collect();
-        let bwd: Vec<Reading> = (0..200).rev().map(|ch| backward.read(ch, 3, 9.0)).collect();
-        let bwd: Vec<Reading> = bwd.into_iter().rev().collect();
+        let fwd: Vec<Option<f64>> = (0..200).map(|ch| forward.read(ch, 3, 9.0)).collect();
+        let bwd: Vec<Option<f64>> = (0..200).rev().map(|ch| backward.read(ch, 3, 9.0)).collect();
+        let bwd: Vec<Option<f64>> = bwd.into_iter().rev().collect();
         assert_eq!(fwd, bwd);
     }
 
@@ -428,12 +363,11 @@ mod tests {
             ..FaultModel::none()
         };
         let mut inj = FaultInjector::new(model);
-        let first = inj.read(4, 0, 10.0);
-        assert_eq!(first.value, Some(10.0));
-        assert_eq!(first.fault, Some(FaultKind::StuckAt));
+        assert!(model.is_stuck_channel(4));
+        assert_eq!(inj.read(4, 0, 10.0), Some(10.0));
         // Later slots keep reporting the frozen value regardless of truth.
-        assert_eq!(inj.read(4, 1, 99.0).value, Some(10.0));
-        assert_eq!(inj.read(4, 7, -3.0).value, Some(10.0));
+        assert_eq!(inj.read(4, 1, 99.0), Some(10.0));
+        assert_eq!(inj.read(4, 7, -3.0), Some(10.0));
     }
 
     #[test]
@@ -446,11 +380,10 @@ mod tests {
         };
         let mut inj = FaultInjector::new(model);
         let dir = model.drift_direction(2);
+        assert!(model.is_drift_channel(2));
         for slot in [0u64, 1, 10] {
-            let r = inj.read(2, slot, 1.0);
-            assert_eq!(r.fault, Some(FaultKind::Drift));
             let expect = 1.0 + dir * 0.5 * slot as f64;
-            assert!((r.value.unwrap() - expect).abs() < 1e-12);
+            assert!((inj.read(2, slot, 1.0).unwrap() - expect).abs() < 1e-12);
         }
     }
 
@@ -465,10 +398,12 @@ mod tests {
         let mut inj = FaultInjector::new(model);
         let mut spikes = 0;
         for slot in 0..400 {
-            let r = inj.read(0, slot, 2.0);
-            if r.fault == Some(FaultKind::Spike) {
+            let r = inj.read(0, slot, 2.0).unwrap();
+            if model.is_spike(0, slot) {
                 spikes += 1;
-                assert!((r.value.unwrap() - 2.0).abs() > 7.9);
+                assert!((r - 2.0).abs() > 7.9);
+            } else {
+                assert_eq!(r, 2.0);
             }
         }
         assert!(spikes > 5 && spikes < 60, "spikes {spikes}");
@@ -493,19 +428,19 @@ mod tests {
         let sign = model.malicious_sign();
         for &ch in &compromised {
             // Before the onset the channel reads clean.
-            assert_eq!(inj.read(ch, 0, 7.0), Reading::clean(7.0));
+            assert_eq!(inj.read(ch, 0, 7.0), Some(7.0));
             // From the onset every compromised channel shifts by the same
             // signed bias — the coordination signature.
-            let r = inj.read(ch, 3, 7.0);
-            assert_eq!(r.fault, Some(FaultKind::Malicious));
-            assert!((r.value.unwrap() - (7.0 + sign * 600.0)).abs() < 1e-12);
+            assert!(model.is_malicious(ch, 3));
+            let r = inj.read(ch, 3, 7.0).unwrap();
+            assert!((r - (7.0 + sign * 600.0)).abs() < 1e-12);
         }
         // Uncompromised channels are untouched after the onset.
         let clean: Vec<usize> = (0..50)
             .filter(|&c| !model.is_malicious_channel(c))
             .collect();
         for &ch in clean.iter().take(5) {
-            assert_eq!(inj.read(ch, 9, 7.0), Reading::clean(7.0));
+            assert_eq!(inj.read(ch, 9, 7.0), Some(7.0));
         }
     }
 

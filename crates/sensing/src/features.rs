@@ -1,10 +1,17 @@
-//! Feature extraction from IoT readings.
+//! Readings and feature rows: the measurement step and the delta function
+//! both phases share.
 //!
 //! "We use the difference between two sets of consecutive readings from IoT
 //! devices as the features of X. That is `x_a` is the change on pressure
 //! head or flow rate of sensor `a`. The dynamic IoT observations X
 //! aggregated with the static topology T are then the features of a
 //! training sample." (Sec. IV-A)
+//!
+//! Every reading in the system is made by [`measure`]: the corpus build,
+//! the campaign render, the examples and the session tests. Every feature
+//! row is made by [`feature_row`]: the corpus build and a Phase-II session.
+//! So a session sees the same kind of readings the profile was trained on,
+//! noise included, and turns them into a row the same way.
 
 use aqua_artifact::{ArtifactError, Codec, Reader, Writer};
 use aqua_hydraulics::Snapshot;
@@ -18,8 +25,7 @@ use crate::sensor::SensorSet;
 /// Feature-extraction options.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FeatureConfig {
-    /// Measurement noise applied independently to both readings before the
-    /// difference is taken.
+    /// Measurement noise applied independently to every reading.
     pub noise: MeasurementNoise,
     /// Append the static topology summary `T` (paper default: yes).
     pub include_topology: bool,
@@ -52,99 +58,70 @@ impl Codec for FeatureConfig {
     }
 }
 
-/// Number of features [`extract_features`] will produce for this network
-/// and sensor set.
-pub fn feature_dimension(_net: &Network, sensors: &SensorSet, config: &FeatureConfig) -> usize {
-    sensors.len() + if config.include_topology { 16 } else { 0 }
-}
-
-/// Builds one feature row from the pre-event snapshot (at `e.t − 1`) and
-/// the post-event snapshot (at `e.t + n`).
+/// The measurement step: what the deployed sensors deliver at each of
+/// `slots`, given as a sampling-slot index and the snapshot solved for it.
 ///
-/// Per sensor: `reading_after − reading_before`, each reading independently
-/// noisy. Pressure deltas come first (in `sensors.pressure_nodes` order),
-/// then flow deltas, then (optionally) the 16 topology summary features.
-pub fn extract_features(
-    net: &Network,
+/// Each channel's true value ([`SensorSet::read`]) gets `noise` drawn from
+/// `rng`, then passes through `injector` at the slot's index; `None` is a
+/// dropped reading. Noise is drawn channel by channel, each channel's slots
+/// in order. Fault placement is hashed, never drawn from `rng`, so faults
+/// cannot perturb the noise stream. Returns one row per slot, in channel
+/// order: pressure nodes first, then flow links.
+pub fn measure(
     sensors: &SensorSet,
-    before: &Snapshot,
-    after: &Snapshot,
-    config: &FeatureConfig,
-    rng: &mut StdRng,
-) -> Vec<f64> {
-    let mut features = Vec::with_capacity(feature_dimension(net, sensors, config));
-    for &node in &sensors.pressure_nodes {
-        let b = config.noise.pressure(before.pressure(node), rng);
-        let a = config.noise.pressure(after.pressure(node), rng);
-        features.push(a - b);
-    }
-    for &link in &sensors.flow_links {
-        let b = config.noise.flow(before.flow(link), rng);
-        let a = config.noise.flow(after.flow(link), rng);
-        features.push(a - b);
-    }
-    if config.include_topology {
-        features.extend(net.topology_features());
-    }
-    features
-}
-
-/// [`extract_features`] under sensor faults: each noisy reading passes
-/// through `injector` before the difference is taken, and a channel whose
-/// before- or after-reading is missing has its delta imputed as `0.0`
-/// (carrying the last observation forward in delta space — "no observed
-/// change"). Returns the feature row plus the number of imputed channels.
-///
-/// Channels are indexed `0..sensors.len()` in feature order (pressure
-/// nodes first, then flow links); `slots` are the sampling-slot indices of
-/// the before/after readings (used for dropout/spike placement and drift
-/// growth). The RNG consumption is identical to [`extract_features`] —
-/// fault placement is hash-based, never drawn from `rng` — so enabling
-/// faults cannot perturb the noise stream.
-// Mirrors `extract_features`' signature plus the fault context; bundling
-// the extra two into a struct would obscure the parallel.
-#[allow(clippy::too_many_arguments)]
-pub fn extract_features_degraded(
-    net: &Network,
-    sensors: &SensorSet,
-    before: &Snapshot,
-    after: &Snapshot,
-    config: &FeatureConfig,
+    slots: &[(u64, &Snapshot)],
+    noise: &MeasurementNoise,
     rng: &mut StdRng,
     injector: &mut FaultInjector,
-    slots: (u64, u64),
-) -> (Vec<f64>, usize) {
-    let mut features = Vec::with_capacity(feature_dimension(net, sensors, config));
-    let mut imputed = 0;
-    let mut channel = 0usize;
-    let mut push_delta = |noisy_before: f64, noisy_after: f64| {
-        let b = injector.read(channel, slots.0, noisy_before);
-        let a = injector.read(channel, slots.1, noisy_after);
-        channel += 1;
-        match (b.value, a.value) {
-            (Some(b), Some(a)) => a - b,
-            _ => {
-                imputed += 1;
-                0.0
-            }
+) -> Vec<Vec<Option<f64>>> {
+    let truth: Vec<Vec<f64>> = slots.iter().map(|(_, snap)| sensors.read(snap)).collect();
+    let n_pressure = sensors.pressure_nodes.len();
+    let mut rows: Vec<Vec<Option<f64>>> = slots
+        .iter()
+        .map(|_| Vec::with_capacity(sensors.len()))
+        .collect();
+    for channel in 0..sensors.len() {
+        for ((row, truth), &(slot, _)) in rows.iter_mut().zip(&truth).zip(slots) {
+            let value = if channel < n_pressure {
+                noise.pressure(truth[channel], rng)
+            } else {
+                noise.flow(truth[channel], rng)
+            };
+            row.push(injector.read(channel, slot, value));
         }
+    }
+    rows
+}
+
+/// The delta function: the feature row for two consecutive readings of
+/// every channel.
+///
+/// Per channel `cur − prev`, or `0.0` ("no observed change") where either
+/// reading is missing or `quarantined(channel)` holds; then the 16 static
+/// topology features `T` when `config.include_topology` is set.
+pub fn feature_row(
+    net: &Network,
+    config: &FeatureConfig,
+    prev: &[Option<f64>],
+    cur: &[Option<f64>],
+    quarantined: impl Fn(usize) -> bool,
+) -> Vec<f64> {
+    let topology = if config.include_topology {
+        net.topology_features()
+    } else {
+        Vec::new()
     };
-    for &node in &sensors.pressure_nodes {
-        let b = config.noise.pressure(before.pressure(node), rng);
-        let a = config.noise.pressure(after.pressure(node), rng);
-        let delta = push_delta(b, a);
-        features.push(delta);
-    }
-    for &link in &sensors.flow_links {
-        let b = config.noise.flow(before.flow(link), rng);
-        let a = config.noise.flow(after.flow(link), rng);
-        let delta = push_delta(b, a);
-        features.push(delta);
-    }
-    if config.include_topology {
-        features.extend(net.topology_features());
-    }
-    (features, imputed)
+    // One exact-size allocation: a corpus holds every row until its
+    // matrix is assembled, so spare capacity would add up.
+    prev.iter()
+        .zip(cur)
+        .enumerate()
+        .map(|(channel, pair)| match pair {
+            (Some(p), Some(c)) if !quarantined(channel) => c - p,
+            _ => 0.0,
+        })
+        .chain(topology)
+        .collect()
 }
 
 #[cfg(test)]
@@ -163,15 +140,76 @@ mod tests {
         (net, base, after)
     }
 
+    /// `before` at slot 7 and `after` at slot 9, measured under `cfg` with
+    /// noise seeded `seed`: the feature row and the number of channels
+    /// with a missing reading.
+    fn row(
+        net: &Network,
+        sensors: &SensorSet,
+        (before, after): (&Snapshot, &Snapshot),
+        cfg: &FeatureConfig,
+        seed: u64,
+    ) -> (Vec<f64>, usize) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut injector = FaultInjector::new(cfg.faults);
+        let readings = measure(
+            sensors,
+            &[(7, before), (9, after)],
+            &cfg.noise,
+            &mut rng,
+            &mut injector,
+        );
+        let missing = readings[0]
+            .iter()
+            .zip(&readings[1])
+            .filter(|(b, a)| b.is_none() || a.is_none())
+            .count();
+        let f = feature_row(net, cfg, &readings[0], &readings[1], |_| false);
+        (f, missing)
+    }
+
     #[test]
-    fn dimension_matches_extraction() {
+    fn row_has_one_delta_per_sensor_then_topology() {
+        let (net, base, after) = snapshots();
+        let sensors = SensorSet::full(&net);
+        let (f, _) = row(
+            &net,
+            &sensors,
+            (&base, &after),
+            &FeatureConfig::default(),
+            0,
+        );
+        assert_eq!(f.len(), sensors.len() + 16);
+        assert!(f.iter().all(|v| v.is_finite()));
+        // A corpus holds every row until its matrix is built.
+        assert_eq!(f.capacity(), f.len(), "no spare capacity");
+    }
+
+    #[test]
+    fn noise_is_drawn_channel_by_channel_each_channels_slots_in_order() {
+        // A corpus sample has always drawn a channel's before and after
+        // noise back to back, and its bytes depend on that order; the
+        // training pins are noise-free, so they cannot see it.
         let (net, base, after) = snapshots();
         let sensors = SensorSet::full(&net);
         let cfg = FeatureConfig::default();
-        let mut rng = StdRng::seed_from_u64(0);
-        let f = extract_features(&net, &sensors, &base, &after, &cfg, &mut rng);
-        assert_eq!(f.len(), feature_dimension(&net, &sensors, &cfg));
-        assert!(f.iter().all(|v| v.is_finite()));
+        let mut rng = StdRng::seed_from_u64(4);
+        let mut injector = FaultInjector::new(cfg.faults);
+        let slots = [(7, &base), (9, &after)];
+        let readings = measure(&sensors, &slots, &cfg.noise, &mut rng, &mut injector);
+        let mut rng = StdRng::seed_from_u64(4);
+        let (b, a) = (sensors.read(&base), sensors.read(&after));
+        for ch in 0..sensors.len() {
+            let mut draw = |truth: f64| {
+                if ch < sensors.pressure_nodes.len() {
+                    cfg.noise.pressure(truth, &mut rng)
+                } else {
+                    cfg.noise.flow(truth, &mut rng)
+                }
+            };
+            let expected = [Some(draw(b[ch])), Some(draw(a[ch]))];
+            assert_eq!([readings[0][ch], readings[1][ch]], expected, "channel {ch}");
+        }
     }
 
     #[test]
@@ -182,8 +220,7 @@ mod tests {
             include_topology: false,
             ..Default::default()
         };
-        let mut rng = StdRng::seed_from_u64(0);
-        let f = extract_features(&net, &sensors, &base, &after, &cfg, &mut rng);
+        let (f, _) = row(&net, &sensors, (&base, &after), &cfg, 0);
         assert_eq!(f.len(), sensors.len());
     }
 
@@ -202,8 +239,7 @@ mod tests {
             include_topology: false,
             ..Default::default()
         };
-        let mut rng = StdRng::seed_from_u64(0);
-        let f = extract_features(&net, &sensors, &base, &after, &cfg, &mut rng);
+        let (f, _) = row(&net, &sensors, (&base, &after), &cfg, 0);
         assert!(f[0] < 0.0, "pressure delta at leak node {}", f[0]);
     }
 
@@ -224,10 +260,8 @@ mod tests {
             include_topology: false,
             ..Default::default()
         };
-        let mut rng = StdRng::seed_from_u64(1);
-        let a = extract_features(&net, &sensors, &base, &after, &noisy, &mut rng);
-        let mut rng = StdRng::seed_from_u64(1);
-        let b = extract_features(&net, &sensors, &base, &after, &clean, &mut rng);
+        let (a, _) = row(&net, &sensors, (&base, &after), &noisy, 1);
+        let (b, _) = row(&net, &sensors, (&base, &after), &clean, 1);
         assert_ne!(a, b);
         let max_dev = a
             .iter()
@@ -238,7 +272,7 @@ mod tests {
     }
 
     #[test]
-    fn degraded_extraction_imputes_missing_channels() {
+    fn missing_readings_give_zero_deltas() {
         let (net, base, after) = snapshots();
         let sensors = SensorSet::full(&net);
         let cfg = FeatureConfig {
@@ -250,18 +284,7 @@ mod tests {
             },
             ..Default::default()
         };
-        let mut rng = StdRng::seed_from_u64(2);
-        let mut injector = FaultInjector::new(cfg.faults);
-        let (f, imputed) = extract_features_degraded(
-            &net,
-            &sensors,
-            &base,
-            &after,
-            &cfg,
-            &mut rng,
-            &mut injector,
-            (7, 9),
-        );
+        let (f, imputed) = row(&net, &sensors, (&base, &after), &cfg, 2);
         assert_eq!(f.len(), sensors.len());
         assert!(imputed > 0, "30% dropout must hit some channel");
         assert!(imputed < sensors.len(), "not every channel drops");
@@ -273,7 +296,7 @@ mod tests {
     #[test]
     fn fault_injection_does_not_perturb_the_noise_stream() {
         // Fault placement is hash-based: channels untouched by faults must
-        // carry the exact same noisy delta as a fault-free extraction from
+        // carry the exact same noisy delta as a fault-free measurement from
         // the same RNG seed.
         let (net, base, after) = snapshots();
         let sensors = SensorSet::full(&net);
@@ -289,25 +312,13 @@ mod tests {
             },
             ..clean_cfg
         };
-        let mut rng = StdRng::seed_from_u64(3);
-        let clean = extract_features(&net, &sensors, &base, &after, &clean_cfg, &mut rng);
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut injector = FaultInjector::new(faulty_cfg.faults);
-        let (faulty, imputed) = extract_features_degraded(
-            &net,
-            &sensors,
-            &base,
-            &after,
-            &faulty_cfg,
-            &mut rng,
-            &mut injector,
-            (7, 9),
-        );
+        let (clean, _) = row(&net, &sensors, (&base, &after), &clean_cfg, 3);
+        let (faulty, imputed) = row(&net, &sensors, (&base, &after), &faulty_cfg, 3);
         assert!(imputed > 0);
         let matching = clean.iter().zip(&faulty).filter(|(c, f)| c == f).count();
         assert!(
             matching >= sensors.len() - 2 * imputed,
-            "non-faulted channels must match the clean extraction \
+            "non-faulted channels must match the clean measurement \
              ({matching} of {} matched, {imputed} imputed)",
             sensors.len()
         );

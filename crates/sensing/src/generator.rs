@@ -21,7 +21,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::fault::{mix2, FaultInjector};
-use crate::features::{extract_features, extract_features_degraded, FeatureConfig};
+use crate::features::{feature_row, measure, FeatureConfig};
 use crate::sensor::SensorSet;
 
 /// Errors from dataset generation.
@@ -148,6 +148,10 @@ struct SampleStats {
 /// and the generation bookkeeping (or the terminal failure hit while
 /// producing it).
 type SampleRow = Result<(Vec<f64>, Scenario, SampleStats), SensingError>;
+
+/// One corpus sample's scenario and its two measured slots (or the
+/// terminal failure hit while producing them).
+type MeasuredSample = Result<(Scenario, Vec<Vec<Option<f64>>>), SensingError>;
 
 /// What it took to build a corpus: how many slots needed scenario
 /// resampling, how often the solver recovery ladder fired, and how many
@@ -424,6 +428,101 @@ impl<'a> DatasetBuilder<'a> {
         )
     }
 
+    /// Corpus sample `i`: draws its scenario, solves its two reading
+    /// instants in `ws` and measures them with the sample's own fault
+    /// placement. A scenario whose hydraulics defeat the solver is replaced
+    /// by a fresh draw, up to [`resample_limit`](Self::resample_limit)
+    /// times. Returns the scenario and its readings at `e.t − 1` and
+    /// `e.t + n`.
+    fn measure_sample(
+        &self,
+        i: usize,
+        seed: u64,
+        baseline: &aqua_hydraulics::EpsResult,
+        ws: &mut SolverWorkspace,
+        tel: TelemetryCtx<'_>,
+        stats: &mut SampleStats,
+    ) -> MeasuredSample {
+        let mut attempt = 0usize;
+        loop {
+            // Attempt 0 keeps the legacy per-sample seed, so corpora that
+            // never needed a resample are byte-identical with builds
+            // predating the retry loop; replacement draws hash in the
+            // attempt index (thread-count invariant either way).
+            let sample_seed = if attempt == 0 {
+                seed.wrapping_add(i as u64)
+            } else {
+                mix2(mix2(seed ^ RESAMPLE_SALT, i as u64), attempt as u64)
+            };
+            let mut rng = StdRng::seed_from_u64(sample_seed);
+            let scenario = self.sampler.sample(&mut rng);
+            let solve_start = tel.now_ns();
+            let solved = self.snapshots_for(&scenario, baseline, ws, tel);
+            if let (Some(t0), Some(t1)) = (solve_start, tel.now_ns()) {
+                stats.solve_ns += t1.saturating_sub(t0);
+            }
+            match solved {
+                Ok((before, after, recoveries)) => {
+                    stats.recoveries += recoveries;
+                    stats.resamples = attempt;
+                    let feature_start = tel.now_ns();
+                    let (t_before, t_after) = self.reading_times();
+                    let faults = self.features.faults.for_sample(seed.wrapping_add(i as u64));
+                    let readings = measure(
+                        &self.sensors,
+                        &[
+                            (t_before / self.step, &before),
+                            (t_after / self.step, &after),
+                        ],
+                        &self.features.noise,
+                        &mut rng,
+                        &mut FaultInjector::new(faults),
+                    );
+                    if let (Some(t0), Some(t1)) = (feature_start, tel.now_ns()) {
+                        stats.feature_ns += t1.saturating_sub(t0);
+                    }
+                    return Ok((scenario, readings));
+                }
+                Err(err) if attempt >= self.resample_limit => {
+                    return Err(match err {
+                        SensingError::Hydraulic(last) if self.resample_limit > 0 => {
+                            SensingError::ResampleExhausted {
+                                sample: i,
+                                attempts: self.resample_limit + 1,
+                                last,
+                            }
+                        }
+                        other => other,
+                    });
+                }
+                Err(_) => attempt += 1,
+            }
+        }
+    }
+
+    /// The two readings that row `i` of [`build`](Self::build)`(_, seed, _)`
+    /// is made from, at `e.t − 1` and at `e.t + n`. A Phase-II session fed
+    /// both, in that order, builds the same row from them.
+    ///
+    /// # Errors
+    ///
+    /// As [`build`](Self::build), for this one sample.
+    pub fn sample_readings(
+        &self,
+        i: usize,
+        seed: u64,
+    ) -> Result<Vec<Vec<Option<f64>>>, SensingError> {
+        if self.sampler.junctions.is_empty() {
+            return Err(SensingError::NoJunctions);
+        }
+        let mut ws = SolverWorkspace::new(self.net);
+        let mut stats = SampleStats::default();
+        let tel = TelemetryCtx::none();
+        let (_, readings) =
+            self.measure_sample(i, seed, &self.baseline()?, &mut ws, tel, &mut stats)?;
+        Ok(readings)
+    }
+
     /// Generates `n_samples` scenario rows. Sample `i` is driven by seed
     /// `seed + i` and replacement draws by a hash of `(seed, i, attempt)`,
     /// so the corpus is identical for any `threads` value.
@@ -458,100 +557,35 @@ impl<'a> DatasetBuilder<'a> {
         let worker = |ws: &mut SolverWorkspace, i: usize| -> SampleRow {
             let mut stats = SampleStats::default();
             let sample_start = tel.now_ns();
-            let mut attempt = 0usize;
-            loop {
-                // Attempt 0 keeps the legacy per-sample seed, so corpora
-                // that never needed a resample are byte-identical with
-                // builds predating the retry loop; replacement draws hash
-                // in the attempt index (thread-count invariant either way).
-                let sample_seed = if attempt == 0 {
-                    seed.wrapping_add(i as u64)
-                } else {
-                    mix2(mix2(seed ^ RESAMPLE_SALT, i as u64), attempt as u64)
-                };
-                let mut rng = StdRng::seed_from_u64(sample_seed);
-                let scenario = self.sampler.sample(&mut rng);
-                let solve_start = tel.now_ns();
-                match self.snapshots_for(&scenario, &baseline, ws, tel) {
-                    Ok((before, after, recoveries)) => {
-                        if let (Some(t0), Some(t1)) = (solve_start, tel.now_ns()) {
-                            stats.solve_ns += t1.saturating_sub(t0);
-                        }
-                        stats.recoveries += recoveries;
-                        stats.resamples = attempt;
-                        let feature_start = tel.now_ns();
-                        let features = if self.features.faults.enabled() {
-                            let model =
-                                self.features.faults.for_sample(seed.wrapping_add(i as u64));
-                            let mut injector = FaultInjector::new(model);
-                            let (t_before, t_after) = self.reading_times();
-                            let slots = (t_before / self.step, t_after / self.step);
-                            let (features, imputed) = extract_features_degraded(
-                                self.net,
-                                &self.sensors,
-                                &before,
-                                &after,
-                                &self.features,
-                                &mut rng,
-                                &mut injector,
-                                slots,
-                            );
-                            stats.imputed = imputed;
-                            features
-                        } else {
-                            extract_features(
-                                self.net,
-                                &self.sensors,
-                                &before,
-                                &after,
-                                &self.features,
-                                &mut rng,
-                            )
-                        };
-                        if let (Some(t0), Some(t1)) = (feature_start, tel.now_ns()) {
-                            stats.feature_ns += t1.saturating_sub(t0);
-                        }
-                        if let (Some(t0), Some(t1)) = (sample_start, tel.now_ns()) {
-                            tel.observe(
-                                "sensing.build.sample_s",
-                                t1.saturating_sub(t0) as f64 / 1e9,
-                            );
-                        }
-                        // Slot `i` is processed by exactly one worker, so
-                        // keying the event ordinal by the slot index keeps
-                        // the flushed stream byte-identical across thread
-                        // counts.
-                        tel.emit(
-                            i as u64,
-                            "sensing.build.sample",
-                            &[
-                                ("resamples", stats.resamples.into()),
-                                ("recoveries", stats.recoveries.into()),
-                                ("imputed", stats.imputed.into()),
-                            ],
-                        );
-                        return Ok((features, scenario, stats));
-                    }
-                    Err(err) if attempt >= self.resample_limit => {
-                        return Err(match err {
-                            SensingError::Hydraulic(last) if self.resample_limit > 0 => {
-                                SensingError::ResampleExhausted {
-                                    sample: i,
-                                    attempts: self.resample_limit + 1,
-                                    last,
-                                }
-                            }
-                            other => other,
-                        });
-                    }
-                    Err(_) => {
-                        if let (Some(t0), Some(t1)) = (solve_start, tel.now_ns()) {
-                            stats.solve_ns += t1.saturating_sub(t0);
-                        }
-                        attempt += 1;
-                    }
-                }
+            let (scenario, readings) =
+                self.measure_sample(i, seed, &baseline, ws, tel, &mut stats)?;
+            let feature_start = tel.now_ns();
+            let (before, after) = (&readings[0], &readings[1]);
+            stats.imputed = before
+                .iter()
+                .zip(after)
+                .filter(|(b, a)| b.is_none() || a.is_none())
+                .count();
+            let features = feature_row(self.net, &self.features, before, after, |_| false);
+            if let (Some(t0), Some(t1)) = (feature_start, tel.now_ns()) {
+                stats.feature_ns += t1.saturating_sub(t0);
             }
+            if let (Some(t0), Some(t1)) = (sample_start, tel.now_ns()) {
+                tel.observe("sensing.build.sample_s", t1.saturating_sub(t0) as f64 / 1e9);
+            }
+            // Slot `i` is processed by exactly one worker, so keying the
+            // event ordinal by the slot index keeps the flushed stream
+            // byte-identical across thread counts.
+            tel.emit(
+                i as u64,
+                "sensing.build.sample",
+                &[
+                    ("resamples", stats.resamples.into()),
+                    ("recoveries", stats.recoveries.into()),
+                    ("imputed", stats.imputed.into()),
+                ],
+            );
+            Ok((features, scenario, stats))
         };
 
         // One workspace per worker thread: symbolic setup is paid once per
@@ -779,14 +813,16 @@ mod tests {
                 with_tanks.tank_levels = builder.tank_levels_at(&baseline, t);
                 solve_snapshot(&net, &with_tanks, t, &builder.solver).unwrap()
             };
-            let features = extract_features(
-                &net,
+            let readings = measure(
                 &builder.sensors,
-                &cold(t_before),
-                &cold(t_after),
-                &builder.features,
+                &[(7, &cold(t_before)), (9, &cold(t_after))],
+                &builder.features.noise,
                 &mut rng,
+                &mut FaultInjector::new(builder.features.faults),
             );
+            let features = feature_row(&net, &builder.features, &readings[0], &readings[1], |_| {
+                false
+            });
             for (a, b) in warm.x.row(i).iter().zip(&features) {
                 assert!((a - b).abs() < 1e-4, "sample {i}: {a} vs {b}");
             }

@@ -6,7 +6,9 @@
 //! hydraulic signatures, and read with Gaussian measurement noise. The
 //! features of a training sample are "the difference between two sets of
 //! consecutive readings from IoT devices" aggregated with static topology
-//! information (Sec. IV-A).
+//! information (Sec. IV-A). [`measure`] makes every reading, noise and
+//! faults included, and [`feature_row`] turns two consecutive readings into
+//! a row, in Phase I and Phase II alike.
 //!
 //! The [`DatasetBuilder`] generates the Phase-I training corpora: thousands
 //! of simulated failure scenarios with `U(1, m)` concurrent leaks at random
@@ -38,8 +40,8 @@ mod noise;
 mod placement;
 mod sensor;
 
-pub use fault::{FaultInjector, FaultKind, FaultModel, Reading};
-pub use features::{extract_features, extract_features_degraded, feature_dimension, FeatureConfig};
+pub use fault::{FaultInjector, FaultModel};
+pub use features::{feature_row, measure, FeatureConfig};
 pub use generator::{BuildSummary, DatasetBuilder, LeakDataset, ScenarioSampler, SensingError};
 pub use noise::MeasurementNoise;
 pub use placement::{k_medoids_placement, PlacementConfig};

@@ -26,7 +26,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("training profile model (LinearR, 120 scenarios)...");
     let profile = aqua.train_profile()?;
     let sensors = aqua.sensors();
-    let artifact = ProfileArtifact::capture(&aqua, profile).to_bytes();
+    let artifact = ProfileArtifact::capture(&aqua, profile);
+    let noise = artifact.features.noise;
+    let artifact = artifact.to_bytes();
 
     // 2. Declare the hazard mix. Every activation below is a pure hash
     //    of (seed, stream, step): same plan + seed = same campaign,
@@ -55,13 +57,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // 3. Render: parallel EPS solves, then the fault model (including
-    //    the Malicious coordinated bias the quarantine must catch).
+    // 3. Render: parallel EPS solves, then readings with the profile's
+    //    measurement noise and the fault model (including the Malicious
+    //    coordinated bias the quarantine must catch).
     let opts = RenderOptions {
         threads: 4,
         ..RenderOptions::default()
     };
-    let rendered = render(&net, &sensors, &compiled, &opts, hub.ctx())?;
+    let rendered = render(&net, &sensors, &noise, &compiled, &opts, hub.ctx())?;
     println!(
         "rendered {} slots: {} spoofed readings, {} fallbacks",
         rendered.times.len(),

@@ -7,7 +7,7 @@ use aquascale::core::{AquaScale, AquaScaleConfig, ExternalObservations};
 use aquascale::hydraulics::{solve_snapshot, LeakEvent, Scenario, SolverOptions};
 use aquascale::ml::ModelKind;
 use aquascale::net::synth;
-use aquascale::sensing::{extract_features, FeatureConfig};
+use aquascale::sensing::{feature_row, measure, FaultInjector};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -43,19 +43,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         LeakEvent::new(truth[1], 0.008, 7200),
     ]);
 
-    // 4. The IoT layer reports the change between consecutive readings.
+    // 4. The IoT layer reports the change between consecutive readings,
+    //    each with measurement noise (slots 7 and 9 bracket the onset).
     let opts = SolverOptions::default();
     let before = solve_snapshot(&net, &Scenario::default(), 7200 - 900, &opts)?;
     let after = solve_snapshot(&net, &scenario, 7200 + 900, &opts)?;
+    let config = &aqua.config().features;
     let mut rng = StdRng::seed_from_u64(7);
-    let features = extract_features(
-        &net,
+    let readings = measure(
         &profile.sensors,
-        &before,
-        &after,
-        &FeatureConfig::default(),
+        &[(7, &before), (9, &after)],
+        &config.noise,
         &mut rng,
+        &mut FaultInjector::new(config.faults),
     );
+    let features = feature_row(&net, config, &readings[0], &readings[1], |_| false);
 
     // 5. Phase II — online inference (Algorithm 2).
     let inference = aqua.infer(&profile, &features, &ExternalObservations::none())?;

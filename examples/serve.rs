@@ -12,8 +12,11 @@ use aquascale::core::{
 use aquascale::hydraulics::{solve_snapshot, LeakEvent, Scenario, SolverOptions};
 use aquascale::ml::ModelKind;
 use aquascale::net::synth;
+use aquascale::sensing::{measure, FaultInjector, FaultModel};
 use aquascale::serve::{client, wire, ServeConfig, Server};
 use aquascale::telemetry::TelemetryHub;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Phase I — train a profile on EPA-NET and package it. In a real
@@ -41,6 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 2. Load the artifact (checksummed + versioned: corruption or a
     //    future format refuses to decode) and host it in a session.
     let loaded = ProfileArtifact::load(&path)?;
+    let noise = loaded.features.noise;
     let session = HostedSession::from_artifact(net.clone(), loaded, 7)?;
     let sensors = session.sensors();
 
@@ -59,14 +63,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("GET /healthz -> {} {}", health.status, health.body.trim());
 
     // 3. Phase II over the wire — a leak starts at slot 4; POST each
-    //    slot's sensor readings to the session's ingest endpoint.
+    //    slot's sensor readings to the session's ingest endpoint. The
+    //    sensors read with the measurement noise the profile was trained
+    //    under, as deployed transducers do.
     let leak_node = net.junction_ids()[33];
     let scenario = Scenario::new().with_leak(LeakEvent::new(leak_node, 0.015, 4 * 900));
+    let mut rng = StdRng::seed_from_u64(7);
+    let mut injector = FaultInjector::new(FaultModel::none());
     for slot in 0..=10u64 {
         let t = slot * 900;
         let snap = solve_snapshot(&net, &scenario, t, &SolverOptions::default())?;
-        let readings: Vec<Option<f64>> = sensors.read(&snap).into_iter().map(Some).collect();
-        let body = wire::ingest_body(&[(t, readings)]);
+        let readings = measure(&sensors, &[(slot, &snap)], &noise, &mut rng, &mut injector);
+        let body = wire::ingest_body(&[(t, &readings[0])]);
         let resp = client::post_json(addr, "/v1/sessions/epa/ingest", &body)?;
         assert_eq!(resp.status, 200, "{}", resp.body);
     }
@@ -76,6 +84,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("GET /v1/sessions/epa/detections -> {}", detections.status);
     println!("{}", detections.body.trim());
     println!("true leak: {:?}", net.node(leak_node).name);
+    // No fault was injected, so the session must hold every channel.
+    assert!(
+        detections
+            .body
+            .contains("\"quarantined\":[],\"detections\""),
+        "a fault-free stream quarantined channels"
+    );
 
     let metrics = client::get(addr, "/metrics")?;
     println!(
